@@ -71,7 +71,6 @@ from .ddhyper import (
     Fbar,
     PartialDemifield,
     check_addsame,
-    check_condicondi,
     check_mul_closure,
     check_partial_demifield,
     closure_S,
@@ -107,8 +106,6 @@ from .matroid import (
     scale_gp,
     underlying_matroid,
     verify_gp,
-    verify_gp_fuzzy,
-    verify_gp_hyper,
 )
 from .io import load_structure, save_structure, structure_from_dict, structure_to_dict
 

@@ -34,21 +34,28 @@ def _print_report(label: str, rep) -> bool:
     return False
 
 
+def _axiom_report(obj):
+    """(label, report) of the axiom check for any structure kind."""
+    # built per call, so checkers are looked up on their modules at call time
+    checkers = (
+        (hyper.FiniteHyperring, "hyperring axioms", hyper.check_hyperring),
+        (fuzzy.FiniteFuzzyRing, "fuzzy ring axioms", fuzzy.check_fuzzy_axioms),
+        (matroid.GPFunction, "exchange relations", matroid.verify_gp),
+        (ordgrp.ZariskiSystem, "Zariski axioms", ordgrp.check_zariski),
+        (
+            ddhyper.PartialDemifield,
+            "partial demifield axioms",
+            ddhyper.check_partial_demifield,
+        ),
+    )
+    label, check = next((l, c) for t, l, c in checkers if isinstance(obj, t))
+    return label, check(obj)
+
+
 def cmd_check(args) -> int:
     obj = _load(args.path, args.kind)
     t0 = time.perf_counter()
-    if isinstance(obj, hyper.FiniteHyperring):
-        ok = _print_report("hyperring axioms", hyper.check_hyperring(obj))
-    elif isinstance(obj, fuzzy.FiniteFuzzyRing):
-        ok = _print_report("fuzzy ring axioms", fuzzy.check_fuzzy_axioms(obj))
-    elif isinstance(obj, matroid.GPFunction):
-        ok = _print_report("exchange relations", matroid.verify_gp(obj))
-    elif isinstance(obj, ordgrp.ZariskiSystem):
-        ok = _print_report("Zariski axioms", ordgrp.check_zariski(obj))
-    else:
-        ok = _print_report(
-            "partial demifield axioms", ddhyper.check_partial_demifield(obj)
-        )
+    ok = _print_report(*_axiom_report(obj))
     print(f"elapsed {time.perf_counter() - t0:.3f}s")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -81,12 +88,7 @@ def cmd_construct(args) -> int:
     else:  # unreachable through argparse
         raise io.StructureError(f"unknown construction {op}")
     # re-verify before writing
-    if isinstance(out, hyper.FiniteHyperring):
-        rep = hyper.check_hyperring(out)
-    elif isinstance(out, fuzzy.FiniteFuzzyRing):
-        rep = fuzzy.check_fuzzy_axioms(out)
-    else:
-        rep = ddhyper.check_partial_demifield(out)
+    _, rep = _axiom_report(out)
     if not _print_report(f"construct {op}", rep):
         return EXIT_FAIL
     io.save_structure(out, args.out)
@@ -192,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyperalg",
         description="Finite hyperrings, fuzzy rings, and their functors.",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count accepted for interface stability; runs sequentially",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -69,6 +69,34 @@ def mask_mul(mul: Sequence[Sequence[int]], a_mask: int, b_mask: int) -> int:
     return out
 
 
+def units_mask(mul: Sequence[Sequence[int]]) -> int:
+    """Mask of the elements with a multiplicative inverse in `mul`."""
+    return mask_of(x for x, row in enumerate(mul) if 1 in row)
+
+
+def family_tables(
+    add: Sequence[Sequence[int]],
+    mul: Sequence[Sequence[int]],
+    family: Sequence[int],
+    index: dict[int, int],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Index tables of + (extend_hyperop) and x (mask_mul) on a mask family.
+
+    `index` maps each member mask to its position in `family`; a sum or
+    product outside the family raises KeyError.  The base tables are
+    commutative, so only the upper triangle is computed and then mirrored.
+    """
+    m = len(family)
+    add_t = [[0] * m for _ in range(m)]
+    mul_t = [[0] * m for _ in range(m)]
+    for i, mi in enumerate(family):
+        for j in range(i, m):
+            mj = family[j]
+            add_t[i][j] = add_t[j][i] = index[extend_hyperop(add, mi, mj)]
+            mul_t[i][j] = mul_t[j][i] = index[mask_mul(mul, mi, mj)]
+    return add_t, mul_t
+
+
 def iterated_hypersum(add: Sequence[Sequence[int]], elems: Sequence[int]) -> int:
     """Left fold of extend_hyperop over singletons of `elems`.
 

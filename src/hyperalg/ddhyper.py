@@ -6,10 +6,10 @@ demifields, and the exact-interval triangle counterexample.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import bits, extend_hyperop, hypersum_masks, mask_mul, mask_of
+from .core import extend_hyperop, family_tables, hypersum_masks, mask_mul, mask_of
 from .hyper import (
     AxiomReport,
     FiniteHyperring,
@@ -57,45 +57,16 @@ def check_mul_closure(f: FiniteHyperring) -> AxiomReport:
     return _report(v)
 
 
-def check_condicondi(f: FiniteHyperring) -> AxiomReport:
-    """Every product of two iterated hypersums must itself be an iterated
-    hypersum (witnessed inside the closure)."""
-    sc = closure_S(f)
-    v: list[Violation] = []
-    for a, b in itertools.combinations_with_replacement(sc.family, 2):
-        if mask_mul(f.mul, a, b) not in sc.witnesses:
-            v.append(("sum-expressible", (a, b)))
-    return _report(v)
-
-
 class NotDoublyDistributive(ValueError):
     def __init__(self, witness):
         super().__init__(f"not doubly distributive, witness {witness}")
         self.witness = witness
 
 
-def Fbar(f: FiniteHyperring, require_dd: bool = True) -> FiniteFuzzyRing:
+def Fbar(f: FiniteHyperring) -> FiniteFuzzyRing:
     """The reduced fuzzy ring on the sum closure of a doubly-distributive
-    hyperfield; nulls are the members containing 0."""
-    if require_dd:
-        rep = check_doubly_distributive(f)
-        if not rep.passed:
-            raise NotDoublyDistributive(rep.violations[0][1])
-    sc = closure_S(f)
-    m = len(sc.family)
-    add = [[0] * m for _ in range(m)]
-    mul = [[0] * m for _ in range(m)]
-    for i, mi in enumerate(sc.family):
-        for j, mj in enumerate(sc.family):
-            s = extend_hyperop(f.add, mi, mj)
-            p = mask_mul(f.mul, mi, mj)
-            if p not in sc.index:
-                raise NotDoublyDistributive((mi, mj))
-            add[i][j] = sc.index[s]
-            mul[i][j] = sc.index[p]
-    k0 = mask_of(i for i, mk in enumerate(sc.family) if mk & 1)
-    eps = sc.index[1 << f.neg[1]]
-    return make_fuzzy_ring(add, mul, k0, epsilon=eps, name=f"Fbar({f.name or '?'})")
+    hyperfield, built as F2(F1(f)); nulls are the members containing 0."""
+    return replace(F2(F1(f)), name=f"Fbar({f.name or '?'})")
 
 
 def fbar_embed(f: FiniteHyperring) -> tuple[int, ...]:
@@ -104,14 +75,11 @@ def fbar_embed(f: FiniteHyperring) -> tuple[int, ...]:
     return tuple(sc.index[1 << x] for x in range(f.n))
 
 
-def fbar_inclusion(f: FiniteHyperring, fk: "PowersetIndex") -> tuple[int, ...]:
-    """Map from Fbar(F) indices to F(F) indices (set-theoretic inclusion)."""
+def fbar_inclusion(f: FiniteHyperring, fk: dict[int, int]) -> tuple[int, ...]:
+    """Map from Fbar(F) indices to F(F) indices (set-theoretic inclusion);
+    `fk` maps masks to F(F) indices."""
     sc = closure_S(f)
     return tuple(fk[mask] for mask in sc.family)
-
-
-# typing helper: anything mapping masks to indices works
-PowersetIndex = dict
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +104,10 @@ def F1(f: FiniteHyperring) -> PartialDemifield:
     if not rep.passed:
         raise NotDoublyDistributive(rep.violations[0][1])
     sc = closure_S(f)
-    m = len(sc.family)
-    add = [[0] * m for _ in range(m)]
-    mul = [[0] * m for _ in range(m)]
-    for i, mi in enumerate(sc.family):
-        for j, mj in enumerate(sc.family):
-            add[i][j] = sc.index[extend_hyperop(f.add, mi, mj)]
-            mul[i][j] = sc.index[mask_mul(f.mul, mi, mj)]
+    try:
+        add, mul = family_tables(f.add, f.mul, sc.family, sc.index)
+    except KeyError as e:  # a sum or product left the closure
+        raise NotDoublyDistributive(e.args[0]) from e
     embed = tuple(sc.index[1 << x] for x in range(f.n))
     return PartialDemifield(
         f,

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from .core import (
     CarrierTooLarge,
     bits,
-    extend_hyperop,
-    mask_mul,
+    family_tables,
     mask_of,
     powerset_cap,
     subset_order,
@@ -26,13 +25,11 @@ from .hyper import (
     make_hyperring,
 )
 from .fuzzy import (
-    ClosureCertificate,
     FiniteFuzzyRing,
     MorphismTable,
     check_strong_morphism,
     check_weak_morphism,
     make_fuzzy_ring,
-    weak_iso,
 )
 
 
@@ -61,16 +58,7 @@ def F_obj(r: FiniteHyperring) -> PowersetFuzzyRing:
         )
     masks = subset_order(r.n, include_empty=r.partial)
     index = {m: i for i, m in enumerate(masks)}
-    m = len(masks)
-    add = [[0] * m for _ in range(m)]
-    mul = [[0] * m for _ in range(m)]
-    for i, mi in enumerate(masks):
-        for j in range(i, m):
-            mj = masks[j]
-            s = index[extend_hyperop(r.add, mi, mj)]
-            p = index[mask_mul(r.mul, mi, mj)]
-            add[i][j] = add[j][i] = s
-            mul[i][j] = mul[j][i] = p
+    add, mul = family_tables(r.add, r.mul, masks, index)
     k0 = mask_of(i for i, mk in enumerate(masks) if mk & 1)
     eps = index[1 << r.neg[1]]
     fuzzy = make_fuzzy_ring(add, mul, k0, epsilon=eps, name=f"F({r.name or '?'})")
@@ -78,7 +66,7 @@ def F_obj(r: FiniteHyperring) -> PowersetFuzzyRing:
     return PowersetFuzzyRing(r, fuzzy, tuple(masks), index, embed)
 
 
-def F_mor(f, fr, fs, verify: bool = True) -> MorphismTable:
+def F_mor(f, fr, fs) -> MorphismTable:
     """Elementwise image map F(f): A -> f(A), verified strong; the source
     and target may be given as hyperrings or as their powerset rings."""
     if isinstance(fr, FiniteHyperring):
@@ -89,11 +77,7 @@ def F_mor(f, fr, fs, verify: bool = True) -> MorphismTable:
     g = []
     for mk in fr.masks:
         g.append(fs.index[mask_of(f[x] for x in bits(mk))])
-    cert = (
-        check_strong_morphism(fr.fuzzy, fs.fuzzy, g)
-        if verify
-        else ClosureCertificate(True, None, 0)
-    )
+    cert = check_strong_morphism(fr.fuzzy, fs.fuzzy, g)
     return MorphismTable("strong", tuple(enumerate(g)), cert)
 
 
@@ -108,13 +92,19 @@ def is_field_like(k: FiniteFuzzyRing) -> AxiomReport:
     return _report(v)
 
 
+def g_carrier(k: FiniteFuzzyRing | FiniteHyperring) -> tuple[int, ...]:
+    """Carrier of G(K) (or of a unit field) as indices of K, in G's element
+    order: 0, 1, then the other units ascending."""
+    return tuple([0, 1] + sorted(u for u in k.units if u != 1))
+
+
 def G_obj(k: FiniteFuzzyRing) -> FiniteHyperring:
     """Hyperfield on units u {0} with a+b = {c : a+b+eps*c null}.
 
     When K is not field-like some hypersums are empty and the result is a
     partial hyperfield (the partial flag is set).
     """
-    carrier = [0, 1] + sorted(u for u in k.units if u != 1)
+    carrier = g_carrier(k)
     idx = {x: i for i, x in enumerate(carrier)}
     m = len(carrier)
     partial = not is_field_like(k).passed
@@ -130,11 +120,6 @@ def G_obj(k: FiniteFuzzyRing) -> FiniteHyperring:
     return make_hyperring(add, mul, partial=partial, name=f"G({k.name or '?'})")
 
 
-def g_carrier(k: FiniteFuzzyRing) -> tuple[int, ...]:
-    """Carrier of G(K) as indices of K, in G's element order."""
-    return tuple([0, 1] + sorted(u for u in k.units if u != 1))
-
-
 def G_mor(
     f: dict[int, int], k: FiniteFuzzyRing, l: FiniteFuzzyRing
 ) -> tuple[int, ...]:
@@ -146,7 +131,7 @@ def G_mor(
 
 def unit_field(r: FiniteHyperring) -> FiniteHyperring:
     """The partial hyperfield R^x u {0}: sums intersected with the carrier."""
-    carrier = [0, 1] + sorted(u for u in r.units if u != 1)
+    carrier = g_carrier(r)
     idx = {x: i for i, x in enumerate(carrier)}
     m = len(carrier)
     add = [[0] * m for _ in range(m)]

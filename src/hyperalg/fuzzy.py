@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CarrierTooLarge, bits, mask_of
+from .core import CarrierTooLarge, bits, mask_of, units_mask
 from .hyper import AxiomReport, Violation, _report
 
 MAX_FUZZY_CARRIER = 4096
@@ -38,28 +38,25 @@ class FiniteFuzzyRing:
 
     @cached_property
     def units_mask(self) -> int:
-        m = 0
-        for x in range(self.n):
-            if any(self.mul[x][y] == 1 for y in range(self.n)):
-                m |= 1 << x
-        return m
+        return units_mask(self.mul)
 
     @cached_property
     def units(self) -> tuple[int, ...]:
         return tuple(bits(self.units_mask))
 
-    @cached_property
-    def unit_inverse(self) -> dict[int, int]:
-        inv = {}
-        for x in self.units:
-            inv[x] = next(y for y in range(self.n) if self.mul[x][y] == 1)
-        return inv
+    @property
+    def minus_one(self) -> int:
+        return self.epsilon
 
     def add_many(self, elems) -> int:
         acc = 0
         for e in elems:
             acc = self.add[acc][e]
         return acc
+
+    def sum_is_null(self, elems) -> bool:
+        """Is the sum of `elems` in K0?"""
+        return self.is_null(self.add_many(elems))
 
 
 def make_fuzzy_ring(add, mul, k0, epsilon=None, name: str = "") -> FiniteFuzzyRing:
@@ -80,11 +77,6 @@ def make_fuzzy_ring(add, mul, k0, epsilon=None, name: str = "") -> FiniteFuzzyRi
     if epsilon is not None and epsilon != eps:
         raise ValueError(f"supplied epsilon {epsilon} but FR5 forces {eps}")
     return FiniteFuzzyRing(n, add, mul, eps, k0, name)
-
-
-def unit_group(k: FiniteFuzzyRing) -> tuple[int, dict[int, int]]:
-    """Mask of multiplicative units together with the inverse map."""
-    return k.units_mask, dict(k.unit_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +174,6 @@ class MorphismTable:
     map: tuple[tuple[int, int], ...]  # (source, target) pairs
     certificate: ClosureCertificate
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.map)
-
 
 def _null_closure(
     k: FiniteFuzzyRing, l: FiniteFuzzyRing, generators
@@ -250,16 +239,6 @@ def check_strong_morphism(
         for b in range(a, k.n)
     }
     return _null_closure(k, l, gens)
-
-
-def restrict_strong_to_weak(
-    k: FiniteFuzzyRing, l: FiniteFuzzyRing, g
-) -> MorphismTable:
-    """Unit restriction of an accepted strong morphism, re-verified weak."""
-    g = tuple(g)
-    unit_map = {a: g[a] for a in k.units}
-    cert = check_weak_morphism(k, l, unit_map)
-    return MorphismTable("weak", tuple(sorted(unit_map.items())), cert)
 
 
 def weak_violation_by_enumeration(

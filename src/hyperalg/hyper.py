@@ -10,7 +10,7 @@ the same type with a flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
@@ -21,6 +21,7 @@ from .core import (
     iterated_hypersum,
     mask_mul,
     mask_of,
+    units_mask,
 )
 
 Violation = tuple[str, tuple]
@@ -50,18 +51,22 @@ class FiniteHyperring:
 
     @cached_property
     def units_mask(self) -> int:
-        m = 0
-        for x in range(self.n):
-            if any(self.mul[x][y] == 1 for y in range(self.n)):
-                m |= 1 << x
-        return m
+        return units_mask(self.mul)
 
     @cached_property
     def units(self) -> tuple[int, ...]:
         return tuple(bits(self.units_mask))
 
+    @property
+    def minus_one(self) -> int:
+        return self.neg[1]
+
     def hsum(self, elems) -> int:
         return iterated_hypersum(self.add, list(elems))
+
+    def sum_is_null(self, elems) -> bool:
+        """Does 0 lie in the hypersum of `elems`?"""
+        return bool(self.hsum(elems) & 1)
 
 
 def make_hyperring(
@@ -239,11 +244,7 @@ class FiniteRing:
 
     @cached_property
     def units_mask(self) -> int:
-        m = 0
-        for x in range(self.n):
-            if any(self.mul[x][y] == 1 for y in range(self.n)):
-                m |= 1 << x
-        return m
+        return units_mask(self.mul)
 
     def neg(self, a: int) -> int:
         return next(x for x in range(self.n) if self.add[a][x] == 0)
@@ -382,38 +383,15 @@ def _check_group(table) -> int:
     return k
 
 
-def kh(group) -> FiniteHyperring:
-    """K[H]: carrier H u {0}, a+a = {0,a}, a+b = H minus {a,b} otherwise."""
+def _kh_tables(group, extra: int):
+    """Tables on 0, H (identity at 1) and `extra` further nonzero elements:
+    a+a = {0,a} and, for distinct nonzero a,b, a+b = (all nonzero) minus
+    {a,b}.  Products on H follow the group; products with the extra
+    elements are left 0 for the caller to fill in."""
     k = _check_group(group)
     if k < 4:
         raise ValueError("K[H] needs |H| >= 4")
-    n = k + 1
-    h_mask = ((1 << n) - 1) & ~1  # all nonzero elements
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for a in range(n):
-        add[a][0] = add[0][a] = 1 << a
-    for a in range(1, n):
-        for b in range(1, n):
-            if a == b:
-                add[a][b] = 1 | (1 << a)
-            else:
-                add[a][b] = h_mask & ~(1 << a) & ~(1 << b)
-            mul[a][b] = group[a - 1][b - 1] + 1
-    return make_hyperring(add, mul, name=f"KH{k}")
-
-
-def khef(group) -> FiniteHyperring:
-    """K[H] u {e,f}: adjoin idempotents e,f with ef=0 and ah=a for a in {e,f}.
-
-    Carrier: 0, then H (identity at 1), then e, f at the last two indices.
-    For distinct b,c in H u {e,f}: b+c = (H u {e,f}) minus {b,c}.
-    """
-    k = _check_group(group)
-    if k < 4:
-        raise ValueError("K[H] needs |H| >= 4")
-    n = k + 3
-    e, f = k + 1, k + 2
+    n = k + 1 + extra
     nonzero = ((1 << n) - 1) & ~1
     add = [[0] * n for _ in range(n)]
     mul = [[0] * n for _ in range(n)]
@@ -428,6 +406,23 @@ def khef(group) -> FiniteHyperring:
     for a in range(1, k + 1):
         for b in range(1, k + 1):
             mul[a][b] = group[a - 1][b - 1] + 1
+    return k, add, mul
+
+
+def kh(group) -> FiniteHyperring:
+    """K[H]: carrier H u {0}, a+a = {0,a}, a+b = H minus {a,b} otherwise."""
+    k, add, mul = _kh_tables(group, 0)
+    return make_hyperring(add, mul, name=f"KH{k}")
+
+
+def khef(group) -> FiniteHyperring:
+    """K[H] u {e,f}: adjoin idempotents e,f with ef=0 and ah=a for a in {e,f}.
+
+    Carrier: 0, then H (identity at 1), then e, f at the last two indices.
+    For distinct b,c in H u {e,f}: b+c = (H u {e,f}) minus {b,c}.
+    """
+    k, add, mul = _kh_tables(group, 2)
+    e, f = k + 1, k + 2
     for x in (e, f):
         mul[x][x] = x
         for h in range(1, k + 1):

@@ -32,6 +32,27 @@ def _require(cond: bool, msg: str):
         raise StructureError(msg)
 
 
+def _is_index(x, n: int) -> bool:
+    return isinstance(x, int) and 0 <= x < n
+
+
+def _is_index_array(xs, n: int) -> bool:
+    return isinstance(xs, list) and all(_is_index(x, n) for x in xs)
+
+
+def _require_table(t, n: int, what: str, cell=_is_index) -> None:
+    """`t` must be an n x n array of arrays whose cells pass cell(x, n)."""
+    _require(
+        isinstance(t, list)
+        and len(t) == n
+        and all(
+            isinstance(row, list) and len(row) == n and all(cell(x, n) for x in row)
+            for row in t
+        ),
+        f"{what} must be an n x n table of indices",
+    )
+
+
 # ---------------------------------------------------------------------------
 # object -> plain dict
 
@@ -131,23 +152,8 @@ def hyperring_from_dict(d: dict) -> FiniteHyperring:
     n = d.get("size")
     _require(isinstance(n, int) and n >= 2, "size must be an integer >= 2")
     add, mul = d.get("add"), d.get("mul")
-    _require(
-        isinstance(add, list) and len(add) == n and all(len(r) == n for r in add),
-        "add must be an n x n table",
-    )
-    _require(
-        isinstance(mul, list) and len(mul) == n and all(len(r) == n for r in mul),
-        "mul must be an n x n table",
-    )
-    for row in add:
-        for cell in row:
-            _require(
-                isinstance(cell, list)
-                and all(isinstance(x, int) and 0 <= x < n for x in cell),
-                "add cells must be index arrays",
-            )
-    for row in mul:
-        _require(all(isinstance(x, int) and 0 <= x < n for x in row), "bad mul")
+    _require_table(add, n, "add", cell=_is_index_array)
+    _require_table(mul, n, "mul")
     masks = [[mask_of(cell) for cell in row] for row in add]
     try:
         return make_hyperring(
@@ -162,20 +168,9 @@ def fuzzyring_from_dict(d: dict) -> FiniteFuzzyRing:
     n = d.get("size")
     _require(isinstance(n, int) and n >= 2, "size must be an integer >= 2")
     add, mul, k0 = d.get("add"), d.get("mul"), d.get("k0")
-    for t in (add, mul):
-        _require(
-            isinstance(t, list)
-            and len(t) == n
-            and all(
-                len(r) == n and all(isinstance(x, int) and 0 <= x < n for x in r)
-                for r in t
-            ),
-            "add/mul must be n x n index tables",
-        )
-    _require(
-        isinstance(k0, list) and all(isinstance(x, int) and 0 <= x < n for x in k0),
-        "k0 must be an index array",
-    )
+    _require_table(add, n, "add")
+    _require_table(mul, n, "mul")
+    _require(_is_index_array(k0, n), "k0 must be an index array")
     try:
         return make_fuzzy_ring(
             add, mul, mask_of(k0), epsilon=d.get("epsilon"), name=d.get("name", "")
@@ -208,26 +203,32 @@ def _ogsubset_from_dict(d: dict) -> OGSubset:
 def zariski_from_dict(d: dict) -> ZariskiSystem:
     _check_header(d, "zariski")
     _require(d.get("coefficient") == "kgamma", "unknown coefficient")
-    points = tuple(d.get("points", ()))
-    _require(len(points) > 0, "empty point set")
+    points, functions = d.get("points"), d.get("functions", [])
+    _require(isinstance(points, list) and points, "points must be a nonempty array")
+    _require(isinstance(functions, list), "functions must be an array")
     fns = []
-    for f in d.get("functions", ()):
+    for f in functions:
         _require(isinstance(f, list) and len(f) == len(points), "bad function row")
         fns.append(tuple(_ogsubset_from_dict(v) for v in f))
-    return ZariskiSystem(points, tuple(fns), "kgamma")
+    return ZariskiSystem(tuple(points), tuple(fns), "kgamma")
 
 
 def demifield_from_dict(d: dict) -> PartialDemifield:
     _check_header(d, "demifield")
     hf = hyperring_from_dict(d.get("hyperfield"))
-    family = tuple(mask_of(cell) for cell in d.get("family", ()))
-    add = tuple(tuple(row) for row in d.get("add", ()))
-    mul = tuple(tuple(row) for row in d.get("mul", ()))
-    emb = tuple(d.get("embedding", ()))
+    family, add, mul = d.get("family"), d.get("add"), d.get("mul")
+    emb = d.get("embedding")
+    _require(
+        isinstance(family, list) and all(_is_index_array(c, hf.n) for c in family),
+        "family must be an array of index arrays",
+    )
     m = len(family)
-    _require(m > 0 and len(add) == m and len(mul) == m, "bad tables")
-    _require(len(emb) == hf.n, "bad embedding")
-    return PartialDemifield(hf, family, add, mul, emb)
+    _require_table(add, m, "add")
+    _require_table(mul, m, "mul")
+    _require(_is_index_array(emb, m) and len(emb) == hf.n, "bad embedding")
+    family = tuple(mask_of(cell) for cell in family)
+    add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
+    return PartialDemifield(hf, family, add, mul, tuple(emb))
 
 
 _PARSERS = {

@@ -172,13 +172,6 @@ def _set_mul(x: frozenset, y: frozenset) -> frozenset:
     return frozenset(og_mul(a, b) for a, b in itertools.product(x, y))
 
 
-def _set_sum(elems: list[frozenset], window: int) -> frozenset:
-    acc = frozenset([BOTTOM])
-    for e in elems:
-        acc = _set_add(acc, e, window)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # window-bounded verification
 

@@ -1,8 +1,10 @@
 """End-to-end command-line tests via main(argv)."""
 
+import json
+
 import pytest
 
-from hyperalg import fuzzy, hyper, io
+from hyperalg import ddhyper, fuzzy, hyper, io, ordgrp
 from hyperalg.cli import main
 
 
@@ -41,6 +43,33 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text('{"schema_version": "1", "kind": "nope"}')
     assert main(["check", str(p)]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind,path,value",
+    [
+        ("demifield", ("add", 0, 0), 9),  # index outside the family
+        ("demifield", ("embedding",), [0, 1, 99]),
+        ("demifield", ("mul", 1), [0, 1]),  # ragged row
+        ("zariski", ("points",), 5),
+        ("zariski", ("functions",), 3),
+    ],
+)
+def test_malformed_structure_exits_2(kind, path, value, tmp_path, capsys):
+    s0, d0 = ordgrp.singleton(0), ordgrp.down(0)
+    valid = {
+        "demifield": ddhyper.F1(hyper.signs()),
+        "zariski": ordgrp.generate_zariski(("p", "q"), [(s0, d0), (d0, s0)]),
+    }
+    d = io.structure_to_dict(valid[kind])
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_missing_file_exits_2(capsys):
@@ -134,7 +163,7 @@ def test_triangle_demo(capsys):
 
 
 def test_ordgrp_demo(capsys):
-    assert main(["--jobs", "2", "ordgrp-demo", "--window", "2"]) == 0
+    assert main(["ordgrp-demo", "--window", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count(": pass") == 4
 

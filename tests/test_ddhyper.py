@@ -1,6 +1,7 @@
 """Sum closures, the reduced powerset construction, partial demifields,
 and the interval counterexample to double distributivity."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,6 @@ def test_closure_field_is_singletons():
 def test_mul_closure_and_expressibility(name):
     h = hyper.builtin(name)
     assert ddhyper.check_mul_closure(h).passed
-    assert ddhyper.check_condicondi(h).passed
 
 
 def test_fbar_krasner_matches_builtin_fuzzy():
@@ -80,6 +80,14 @@ def test_fbar_inclusion_strong(name):
     assert cert.accepted
     # injective, and a bijection on units
     assert len(set(incl)) == len(incl)
+    # Fbar's tables are the restriction of F's, checked against F_obj so
+    # that building Fbar as F2(F1(h)) cannot make this a tautology
+    big = fk.fuzzy
+    for i, j in itertools.product(range(fb.n), repeat=2):
+        assert big.add[incl[i]][incl[j]] == incl[fb.add[i][j]]
+        assert big.mul[incl[i]][incl[j]] == incl[fb.mul[i][j]]
+    assert [big.is_null(x) for x in incl] == [fb.is_null(x) for x in range(fb.n)]
+    assert big.epsilon == incl[fb.epsilon]
 
 
 @pytest.mark.parametrize("name", DD_BUILTINS)

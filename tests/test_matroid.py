@@ -8,12 +8,29 @@ import pytest
 from hyperalg import ddhyper, functors, fuzzy, hyper, matroid
 
 
-def test_sign_rule():
-    k = hyper.krasner()
-    phi = matroid.GPFunction(4, 2, (1, 1, 1, 1, 1, 1), k)
-    assert phi.value((0, 1)) == 1
-    assert phi.value((1, 0)) == 1  # -1 = 1 in the two-element hyperfield
-    assert phi.value((2, 2)) == 0
+SIGN_RULE_COEFFS = {
+    "krasner": hyper.krasner,
+    "signs": hyper.signs,
+    "krasnerfuzzy": fuzzy.krasner_fuzzy,
+    "signfuzzy": fuzzy.sign_fuzzy,
+}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", sorted(SIGN_RULE_COEFFS))
+def test_sign_rule(name, r):
+    # a transposition multiplies by -1 and a repeated entry gives 0, for
+    # every value assignment on a 4-element ground set
+    c = SIGN_RULE_COEFFS[name]()
+    n = 4
+    for vals in itertools.product([0, *c.units], repeat=matroid._ncr(n, r)):
+        if not any(vals):
+            continue
+        phi = matroid.GPFunction(n, r, vals, c)
+        for t in itertools.combinations(range(n), r):
+            swapped = (t[1], t[0]) + t[2:]
+            assert phi.value(swapped) == c.mul[c.minus_one][phi.value(t)]
+            assert phi.value((t[0],) + t[1:-1] + (t[0],)) == 0
 
 
 def test_sign_rule_signs():
@@ -115,6 +132,10 @@ def test_onetoone_hyper_vs_powerset(name, n, r):
         rep = matroid.cross_check_onetoone(phi, h, fk, fb, femb)
         assert rep.agrees
         assert rep.fuzzy_valid == rep.hyper_valid == rep.reduced_valid
+        # the two coefficient kinds fail on the same relations, not only
+        # on the same functions
+        on_fk = matroid.verify_gp(matroid.transport_to_powerset(phi, fk))
+        assert on_fk.violations == matroid.verify_gp(phi).violations
 
 
 def test_onetoone_g_direction():
