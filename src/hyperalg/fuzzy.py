@@ -80,17 +80,34 @@ def make_fuzzy_ring(add, mul, k0, epsilon=None, name: str = "") -> FiniteFuzzyRi
 
 
 # ---------------------------------------------------------------------------
-# axiom verification (vectorized; FR6/FR7 sweep quadruples)
+# axiom verification
+#
+# FR0-FR5 are vectorized table comparisons.  FR6 and FR7 quantify over
+# quadruples; with N(s) = {x : s + x in K0}, row s of nul[add], each becomes an
+# inclusion between null sets:
+#   FR6  a+b, c+d null => ac + eps*bd null  is  eps*b*N(c) <= N(ac)
+#        for every null pair (a, b) and every c;
+#   FR7  a + b(c+d) null => a + bc + bd null  is  N(b(c+d)) <= N(bc + bd)
+#        for all b, c, d, given that addition is associative,
+#        (a + bc) + bd = a + (bc + bd), and commutative, a + s = s + a.
+# The inclusions are tested when the FR0 additive checks pass; otherwise the
+# quadruple sweep `_fr67_sweep` runs.  Either way the witness is the sweep's
+# first failing quadruple.
+
+
+def _tables(k: FiniteFuzzyRing):
+    add = np.array(k.add, dtype=np.intp)
+    mul = np.array(k.mul, dtype=np.intp)
+    nul = np.zeros(k.n, dtype=bool)
+    for x in bits(k.k0):
+        nul[x] = True
+    return add, mul, nul
 
 
 def check_fuzzy_axioms(k: FiniteFuzzyRing) -> AxiomReport:
     v: list[Violation] = []
     n = k.n
-    add = np.array(k.add, dtype=np.intp)
-    mul = np.array(k.mul, dtype=np.intp)
-    nul = np.zeros(n, dtype=bool)
-    for x in bits(k.k0):
-        nul[x] = True
+    add, mul, nul = _tables(k)
     idx = np.arange(n)
 
     def witness(mask, label, arity):
@@ -126,8 +143,21 @@ def check_fuzzy_axioms(k: FiniteFuzzyRing) -> AxiomReport:
     for a in k.units:
         if nul[add[1][a]] != (a == k.epsilon):
             v.append(("FR5", (a,)))
+    if any(label.startswith("FR0-add") for label, _ in v):
+        v += _fr67_sweep(add, mul, nul, k.epsilon)
+    else:
+        null_of = nul[add]  # row s is N(s)
+        v += _fr6_inclusions(null_of, mul, k.epsilon)
+        v += _fr7_inclusions(null_of, add, mul)
+    return _report(v)
+
+
+def _fr67_sweep(add, mul, nul, epsilon) -> list[Violation]:
+    """FR6 and FR7 over all quadruples; the first witness of each."""
+    v: list[Violation] = []
+    n = len(add)
     # FR6: (a+b), (c+d) null  =>  ac + eps*bd null
-    emul = mul[k.epsilon][mul]  # emul[b,d] = eps*(b*d)
+    emul = mul[epsilon][mul]  # emul[b,d] = eps*(b*d)
     pairs = np.argwhere(nul[add])
     if pairs.size:
         pa, pb = pairs[:, 0], pairs[:, 1]
@@ -151,7 +181,72 @@ def check_fuzzy_axioms(k: FiniteFuzzyRing) -> AxiomReport:
             b, c, d = bad[0]
             v.append(("FR7", (a, int(b), int(c), int(d))))
             break
-    return _report(v)
+    return v
+
+
+def _packed(rows):
+    """Bool rows (..., n) as bit sets (..., w) of uint64 words."""
+    p = np.packbits(rows, axis=-1)
+    out = np.zeros(p.shape[:-1] + (-(-p.shape[-1] // 8) * 8,), dtype=np.uint8)
+    out[..., : p.shape[-1]] = p
+    return out.view(np.uint64)
+
+
+def _fr6_inclusions(null_of, mul, epsilon) -> list[Violation]:
+    """FR6 as eps*b*N(c) <= N(ac) over null pairs (a, b) and all c."""
+    n = len(mul)
+    pairs = np.argwhere(null_of)
+    if not pairs.size:
+        return []
+    pa, pb = pairs[:, 0], pairs[:, 1]
+    emul = mul[epsilon][mul]  # emul[b,d] = eps*(b*d)
+    null_bits = _packed(null_of)
+    image = np.empty((n, n, null_bits.shape[1]), dtype=np.uint64)
+    for b in range(n):  # image[b, c] = eps*b*N(c): the pairs are the (c, d)
+        sets = np.zeros((n, n), dtype=bool)
+        sets[pa, emul[b, pb]] = True
+        image[b] = _packed(sets)
+    chunk = max(1, 2_000_000 // image[0].size)
+    for i in range(0, len(pairs), chunk):
+        a, b = pa[i : i + chunk], pb[i : i + chunk]
+        bad = (image[b] & ~null_bits[mul[a]]).any(axis=2)  # bad[pair, c]
+        failing = np.flatnonzero(bad.any(axis=1))
+        if failing.size:
+            r = failing[0]
+            a, b = int(a[r]), int(b[r])
+            c = int(np.flatnonzero(bad[r])[0])
+            d = np.flatnonzero(null_of[c] & ~null_of[mul[a, c], emul[b]])[0]
+            return [("FR6", (a, b, c, int(d)))]
+    return []
+
+
+def _fr7_inclusions(null_of, add, mul) -> list[Violation]:
+    """FR7 as N(b(c+d)) <= N(bc+bd), each distinct pair tested once; needs
+    additive associativity and commutativity."""
+    n = len(add)
+    marked = np.zeros((n, n), dtype=bool)
+    for b in range(n):
+        mb = mul[b]
+        marked[mb[add], add[mb[:, None], mb[None, :]]] = True
+    np.fill_diagonal(marked, False)
+    p, q = np.nonzero(marked)
+    null_bits = _packed(null_of)
+    diff = null_bits[p] & ~null_bits[q]  # N(p) \ N(q)
+    bad = diff.any(axis=1)
+    if not bad.any():
+        return []
+    # the smallest a in some N(p) \ N(q); then the sweep's first (b, c, d)
+    union = np.unpackbits(np.bitwise_or.reduce(diff[bad]).view(np.uint8))
+    a = int(np.flatnonzero(union)[0])
+    for b in range(n):
+        mb = mul[b]
+        lhs_null = null_of[a, mb[add]]
+        rhs_null = null_of[add[a, mb][:, None], mb[None, :]]
+        where = np.argwhere(lhs_null & ~rhs_null)
+        if where.size:
+            c, d = where[0]
+            return [("FR7", (a, b, int(c), int(d)))]
+    raise AssertionError("FR7 inclusion failed but no quadruple does")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ def _require(cond: bool, msg: str):
 
 
 def _is_index(x, n: int) -> bool:
-    return isinstance(x, int) and 0 <= x < n
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _is_index_array(xs, n: int) -> bool:
@@ -171,6 +172,9 @@ def fuzzyring_from_dict(d: dict) -> FiniteFuzzyRing:
     _require_table(add, n, "add")
     _require_table(mul, n, "mul")
     _require(_is_index_array(k0, n), "k0 must be an index array")
+    _require(
+        "epsilon" not in d or _is_index(d["epsilon"], n), "epsilon must be an index"
+    )
     try:
         return make_fuzzy_ring(
             add, mul, mask_of(k0), epsilon=d.get("epsilon"), name=d.get("name", "")

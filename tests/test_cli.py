@@ -53,6 +53,8 @@ def test_malformed_file_exits_2(tmp_path, capsys):
         ("demifield", ("mul", 1), [0, 1]),  # ragged row
         ("zariski", ("points",), 5),
         ("zariski", ("functions",), 3),
+        ("fuzzyring", ("k0",), [True, 2]),  # a JSON bool is not an index
+        ("fuzzyring", ("epsilon",), 1.0),
     ],
 )
 def test_malformed_structure_exits_2(kind, path, value, tmp_path, capsys):
@@ -60,6 +62,7 @@ def test_malformed_structure_exits_2(kind, path, value, tmp_path, capsys):
     valid = {
         "demifield": ddhyper.F1(hyper.signs()),
         "zariski": ordgrp.generate_zariski(("p", "q"), [(s0, d0), (d0, s0)]),
+        "fuzzyring": fuzzy.krasner_fuzzy(),
     }
     d = io.structure_to_dict(valid[kind])
     target = d

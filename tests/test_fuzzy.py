@@ -1,10 +1,15 @@
-import itertools
+import random
+import time
+from dataclasses import replace
 
 import pytest
 
-from hyperalg.core import mask_of
+from hyperalg.core import bits, mask_of
+from hyperalg.functors import F_obj
 from hyperalg.fuzzy import (
     BUILTIN_FUZZY,
+    _fr67_sweep,
+    _tables,
     builtin_fuzzy,
     check_fuzzy_axioms,
     check_strong_morphism,
@@ -18,7 +23,13 @@ from hyperalg.fuzzy import (
     weak_iso,
     weak_violation_by_enumeration,
 )
-from hyperalg.hyper import galois_field
+from hyperalg.hyper import (
+    BUILTIN_HYPERRINGS,
+    builtin,
+    field_hyperfield,
+    galois_field,
+    quotient,
+)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_FUZZY))
@@ -58,6 +69,100 @@ def test_ring_as_fuzzy():
     assert check_fuzzy_axioms(k).passed
     assert k.k0 == 1  # only 0 is null
     assert k.epsilon == 4  # -1 mod 5
+
+
+# --- FR6/FR7: null-set inclusions against the quadruple sweep ---------------
+
+
+def _unit_subgroup(ring, d):
+    """The subgroup {x : x^d = 1} of the cyclic unit group of a field."""
+    def power(x):
+        y = 1
+        for _ in range(d):
+            y = ring.mul[y][x]
+        return y
+
+    return mask_of(x for x in bits(ring.units_mask) if power(x) == 1)
+
+
+def _small_corpus(max_carrier=6):
+    """Builtin hyperrings and the quotients GF(q)/U (q <= 9, U a nontrivial
+    unit subgroup) with at most `max_carrier` elements, so that F has at most
+    63.  GF(q)/{1} is GF(q) itself, already a builtin."""
+    out = {}
+    for name in BUILTIN_HYPERRINGS:
+        h = builtin(name)
+        if h.n <= max_carrier:
+            out[name] = h
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ring = galois_field(q)
+        for d in range(2, q):
+            if (q - 1) % d == 0 and 1 + (q - 1) // d <= max_carrier:
+                out[f"gf{q}/U{d}"] = quotient(ring, _unit_subgroup(ring, d))
+    return out
+
+
+SMALL_CORPUS = _small_corpus()
+
+
+def _sweep_violations(k):
+    """The violation list with FR6 and FR7 taken from the quadruple sweep."""
+    rep = check_fuzzy_axioms(k)
+    head = [x for x in rep.violations if x[0] not in ("FR6", "FR7")]
+    return head + _fr67_sweep(*_tables(k), k.epsilon)
+
+
+def _perturbed(k, rng):
+    """Change one symmetric add or mul entry off rows and columns 0 and 1, or
+    toggle one K0 bit other than those of 0 and 1."""
+    kind = rng.choice(("add", "mul", "k0"))
+    if kind == "k0":
+        return replace(k, k0=k.k0 ^ (1 << rng.randrange(2, k.n)))
+    i, j = rng.randrange(2, k.n), rng.randrange(2, k.n)
+    return _with_entry(k, kind, i, j, rng.randrange(k.n))
+
+
+def _with_entry(k, table, i, j, value):
+    rows = [list(row) for row in getattr(k, table)]
+    rows[i][j] = rows[j][i] = value
+    return replace(k, **{table: tuple(map(tuple, rows))})
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CORPUS))
+def test_fr67_inclusions_match_sweep(name):
+    k = F_obj(SMALL_CORPUS[name]).fuzzy
+    rng = random.Random(name)
+    for copy in range(9):
+        kk = k if copy == 0 else _perturbed(k, rng)
+        assert list(check_fuzzy_axioms(kk).violations) == _sweep_violations(kk), copy
+
+
+def test_fr6_failure_pinned():
+    # F(krasner) = {0}, {1}, {0,1} as 0, 1, 2 with K0 = {0, 2} and eps = 1.
+    # With {0,1}*{0,1} set to {0}: a=1, b=2 and c=1, d=2 are null pairs, but
+    # ac + eps*bd = 1 + 0 = 1 is not null.
+    k = _with_entry(F_obj(builtin("krasner")).fuzzy, "mul", 2, 2, 0)
+    expected = [("FR6", (1, 2, 1, 2))]
+    assert list(check_fuzzy_axioms(k).violations) == expected
+    assert _sweep_violations(k) == expected
+
+
+def test_fr7_failure_pinned():
+    k = _with_entry(F_obj(builtin("gf4")).fuzzy, "mul", 3, 7, 2)
+    expected = [("FR0-mul-associative", (3, 3, 7)), ("FR7", (0, 3, 1, 3))]
+    assert list(check_fuzzy_axioms(k).violations) == expected
+    assert _sweep_violations(k) == expected
+    a, b, c, d = expected[1][1]
+    assert k.is_null(k.add[a][k.mul[b][k.add[c][d]]])
+    assert not k.is_null(k.add[k.add[a][k.mul[b][c]]][k.mul[b][d]])
+
+
+def test_fuzzy_axioms_reach_gf8():
+    # 255 elements: the quadruple sweep would take minutes
+    k = F_obj(field_hyperfield(8)).fuzzy
+    start = time.perf_counter()
+    assert check_fuzzy_axioms(k).passed
+    assert time.perf_counter() - start < 30
 
 
 def test_axiom_checker_catches_broken_fr5():
