@@ -200,7 +200,10 @@ def _ogsubset_from_dict(d: dict) -> OGSubset:
         "bad ordered-group value",
     )
     u = d.get("upper")
-    _require(u is None or isinstance(u, int), "upper must be an integer or null")
+    _require(
+        u is None or (isinstance(u, int) and not isinstance(u, bool)),
+        "upper must be an integer or null",
+    )
     return singleton(u) if d["tag"] == "sing" else down(u)
 
 

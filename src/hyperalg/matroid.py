@@ -7,12 +7,14 @@ between the two definitions, and an independent basis-exchange oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fuzzy import FiniteFuzzyRing
 from .functors import PowersetFuzzyRing, g_carrier
-from .hyper import AxiomReport, FiniteHyperring, Violation, _report
+from .hyper import AxiomReport, FiniteHyperring, _report
 
 
 def _perm_parity(tup) -> int:
@@ -23,6 +25,20 @@ def _perm_parity(tup) -> int:
         if tup[i] > tup[j]
     )
     return inv & 1
+
+
+@functools.cache
+def _slot_index(n: int, r: int) -> dict[tuple, int]:
+    """Slot of each strictly increasing r-tuple over range(n)."""
+    return {c: i for i, c in enumerate(itertools.combinations(range(n), r))}
+
+
+def _slot_parity(slots: dict[tuple, int], tup: tuple) -> tuple[int, int]:
+    """(slot of the sorted tuple, parity of the sort), or (-1, 0) when an
+    entry repeats and the sign rule makes the value 0."""
+    if len(set(tup)) != len(tup):
+        return -1, 0
+    return slots[tuple(sorted(tup))], _perm_parity(tup)
 
 
 @dataclass(frozen=True)
@@ -37,7 +53,7 @@ class GPFunction:
     coefficient: FiniteHyperring | FiniteFuzzyRing
 
     def __post_init__(self):
-        slots = _ncr(self.ground_size, self.rank)
+        slots = math.comb(self.ground_size, self.rank)
         if len(self.values) != slots:
             raise ValueError(f"expected {slots} values, got {len(self.values)}")
         if all(v == 0 for v in self.values):
@@ -47,21 +63,13 @@ class GPFunction:
             if v != 0 and not (c.units_mask >> v) & 1:
                 raise ValueError(f"value {v} is neither zero nor a unit")
 
-    @property
-    def _slot_index(self) -> dict[tuple, int]:
-        return {
-            c: i
-            for i, c in enumerate(
-                itertools.combinations(range(self.ground_size), self.rank)
-            )
-        }
-
     def value(self, tup) -> int:
-        tup = tuple(tup)
-        if len(set(tup)) != len(tup):
+        slots = _slot_index(self.ground_size, self.rank)
+        slot, parity = _slot_parity(slots, tuple(tup))
+        if slot < 0:
             return 0
-        base = self.values[self._slot_index[tuple(sorted(tup))]]
-        if base != 0 and _perm_parity(tup):
+        base = self.values[slot]
+        if base != 0 and parity:
             return self.coefficient.mul[self.coefficient.minus_one][base]
         return base
 
@@ -70,19 +78,53 @@ class GPFunction:
         return tuple(c for c, v in zip(combos, self.values) if v != 0)
 
 
-def _ncr(n: int, r: int) -> int:
-    import math
+@functools.cache
+def _gp_plan(n: int, r: int) -> tuple:
+    """The exchange relations of rank r over range(n), compiled once: for
+    each strictly increasing (r+1)-tuple x and (r-1)-tuple y, in
+    combinations order, the witness (x, y) and the terms
+    (parity k, slot of x without k, its parity, slot of (x_k, *y), its
+    parity), slot -1 standing for a repeated entry.  Terms that are zero
+    whatever the values are kept, so the sums are value()'s exactly."""
+    slots = _slot_index(n, r)
+    plan = []
+    for x in itertools.combinations(range(n), r + 1):
+        for y in itertools.combinations(range(n), r - 1):
+            terms = tuple(
+                (
+                    k & 1,
+                    *_slot_parity(slots, x[:k] + x[k + 1 :]),
+                    *_slot_parity(slots, (x[k],) + y),
+                )
+                for k in range(r + 1)
+            )
+            plan.append(((x, y), terms))
+    return tuple(plan)
 
-    return math.comb(n, r)
+
+def _gp_violations(phi: GPFunction):
+    """Yield ("GP3", (x, y)) for each exchange relation whose alternating
+    sum of products is not null, in plan order."""
+    c = phi.coefficient
+    mul = c.mul
+    neg = mul[c.minus_one]
+    # signed[parity][slot] is value() on a tuple sorting to slot
+    signed = (phi.values, tuple(neg[v] if v != 0 else v for v in phi.values))
+    is_null = c.sum_is_null
+    for witness, terms in _gp_plan(phi.ground_size, phi.rank):
+        summands = []
+        for kp, ls, lp, rs, rp in terms:
+            left = signed[lp][ls] if ls >= 0 else 0
+            right = signed[rp][rs] if rs >= 0 else 0
+            t = mul[left][right]
+            summands.append(neg[t] if kp else t)
+        if not is_null(summands):
+            yield "GP3", witness
 
 
-def _relation_terms(phi: GPFunction, x: tuple, y: tuple):
-    """Signed term pairs of the exchange relation for an (r+1)-tuple x and
-    an (r-1)-tuple y: (parity k, phi(x without k), phi(x_k, *y))."""
-    for k in range(len(x)):
-        left = phi.value(x[:k] + x[k + 1 :])
-        right = phi.value((x[k],) + y)
-        yield k & 1, left, right
+def _gp_holds(phi: GPFunction) -> bool:
+    """verify_gp(phi).passed, stopping at the first failing relation."""
+    return next(_gp_violations(phi), None) is None
 
 
 def verify_gp(phi: GPFunction) -> AxiomReport:
@@ -92,19 +134,7 @@ def verify_gp(phi: GPFunction) -> AxiomReport:
 
     It suffices to sweep strictly increasing tuples: permuted or repeated
     tuples reduce to these by the sign rule built into value()."""
-    c = phi.coefficient
-    neg1 = c.minus_one
-    n, r = phi.ground_size, phi.rank
-    v: list[Violation] = []
-    for x in itertools.combinations(range(n), r + 1):
-        for y in itertools.combinations(range(n), r - 1):
-            terms = []
-            for parity, left, right in _relation_terms(phi, x, y):
-                t = c.mul[left][right]
-                terms.append(c.mul[neg1][t] if parity else t)
-            if not c.sum_is_null(terms):
-                v.append(("GP3", (x, y)))
-    return _report(v)
+    return _report(list(_gp_violations(phi)))
 
 
 ENUM_SPACE_CAP = 2_000_000
@@ -121,7 +151,7 @@ def enumerate_gp(
     nonzero slot equal to 1)."""
     if n > 6 or r > 3:
         raise ValueError("enumeration capped at n <= 6, r <= 3")
-    slots = _ncr(n, r)
+    slots = math.comb(n, r)
     choices = [0, *f.units]
     if len(choices) ** slots > ENUM_SPACE_CAP:
         raise ValueError("enumeration space too large")
@@ -134,7 +164,7 @@ def enumerate_gp(
             if first != 1:
                 continue
         phi = GPFunction(n, r, values, f)
-        if verify_gp(phi).passed:
+        if _gp_holds(phi):
             out.append(phi)
     return out
 
@@ -198,12 +228,11 @@ def cross_check_onetoone(
     transport does, when the coefficient is doubly distributive)."""
     if phi.coefficient is not f:
         raise ValueError("coefficient mismatch")
-    hv = verify_gp(phi).passed
-    fv = verify_gp(transport_to_powerset(phi, fk)).passed
+    hv = _gp_holds(phi)
+    fv = _gp_holds(transport_to_powerset(phi, fk))
     rv = None
     if fbar is not None:
-        tr = pushforward_gp(phi, lambda v: fbar_embed[v], fbar)
-        rv = verify_gp(tr).passed
+        rv = _gp_holds(pushforward_gp(phi, lambda v: fbar_embed[v], fbar))
     agrees = (hv == fv) and (rv is None or rv == hv)
     return OneToOneReport(hv, fv, rv, agrees)
 
@@ -215,8 +244,8 @@ def cross_check_onetoone_G(
     hold iff hyperfield relations hold over the unit hyperfield."""
     if phi.coefficient is not k:
         raise ValueError("coefficient mismatch")
-    fv = verify_gp(phi).passed
-    hv = verify_gp(transport_to_g(phi, k, g)).passed
+    fv = _gp_holds(phi)
+    hv = _gp_holds(transport_to_g(phi, k, g))
     return OneToOneReport(hv, fv, None, hv == fv)
 
 

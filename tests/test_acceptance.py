@@ -11,6 +11,7 @@ README.md sets out.
 """
 
 import itertools
+import math
 import time
 
 import pytest
@@ -253,7 +254,7 @@ def test_acceptance_9_matroid_equivalence():
         femb = ddhyper.fbar_embed(coeff)
         for n, r in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
             for vals in itertools.product(
-                [0, *coeff.units], repeat=matroid._ncr(n, r)
+                [0, *coeff.units], repeat=math.comb(n, r)
             ):
                 if not any(vals):
                     continue

@@ -55,6 +55,7 @@ def test_malformed_file_exits_2(tmp_path, capsys):
         ("zariski", ("functions",), 3),
         ("fuzzyring", ("k0",), [True, 2]),  # a JSON bool is not an index
         ("fuzzyring", ("epsilon",), 1.0),
+        ("zariski", ("functions", 0, 0, "upper"), True),  # a bool is not an integer
     ],
 )
 def test_malformed_structure_exits_2(kind, path, value, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from dataclasses import replace
@@ -147,6 +148,19 @@ def test_fr6_failure_pinned():
     assert _sweep_violations(k) == expected
 
 
+def _first_nonassociative(t):
+    """The first (a, b, c) in row-major order with (ab)c != a(bc)."""
+    n = len(t)
+    return next(
+        (
+            (a, b, c)
+            for a, b, c in itertools.product(range(n), repeat=3)
+            if t[t[a][b]][c] != t[a][t[b][c]]
+        ),
+        None,
+    )
+
+
 def test_fr7_failure_pinned():
     k = _with_entry(F_obj(builtin("gf4")).fuzzy, "mul", 3, 7, 2)
     expected = [("FR0-mul-associative", (3, 3, 7)), ("FR7", (0, 3, 1, 3))]
@@ -155,6 +169,19 @@ def test_fr7_failure_pinned():
     a, b, c, d = expected[1][1]
     assert k.is_null(k.add[a][k.mul[b][k.add[c][d]]])
     assert not k.is_null(k.add[k.add[a][k.mul[b][c]]][k.mul[b][d]])
+    assert _first_nonassociative(k.mul) == expected[0][1]
+
+
+def test_fr0_add_associativity_failure_pinned():
+    k = _with_entry(F_obj(builtin("gf4")).fuzzy, "add", 2, 5, 0)
+    expected = [
+        ("FR0-add-associative", (1, 2, 5)),
+        ("FR2-unit-3", (2, 5)),
+        ("FR2-unit-7", (2, 5)),
+        ("FR7", (2, 1, 5, 1)),
+    ]
+    assert list(check_fuzzy_axioms(k).violations) == expected
+    assert _first_nonassociative(k.add) == (1, 2, 5)
 
 
 def test_fuzzy_axioms_reach_gf8():

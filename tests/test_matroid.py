@@ -2,6 +2,10 @@
 enumeration counts, and cross-checks of the two verification routes."""
 
 import itertools
+import math
+import random
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +27,7 @@ def test_sign_rule(name, r):
     # every value assignment on a 4-element ground set
     c = SIGN_RULE_COEFFS[name]()
     n = 4
-    for vals in itertools.product([0, *c.units], repeat=matroid._ncr(n, r)):
+    for vals in itertools.product([0, *c.units], repeat=math.comb(n, r)):
         if not any(vals):
             continue
         phi = matroid.GPFunction(n, r, vals, c)
@@ -99,6 +103,138 @@ def test_flipped_minor_sign_fails(slot):
     assert ((0, 1, 2), (3,)) in [w for _, w in rep.violations]
 
 
+def _reference_violations(phi):
+    """The exchange-relation sweep written out term by term through value():
+    the oracle of the compiled relations in verify_gp."""
+    c = phi.coefficient
+    n, r = phi.ground_size, phi.rank
+    out = []
+    for x in itertools.combinations(range(n), r + 1):
+        for y in itertools.combinations(range(n), r - 1):
+            terms = []
+            for k in range(len(x)):
+                t = c.mul[phi.value(x[:k] + x[k + 1 :])][phi.value((x[k],) + y)]
+                terms.append(c.mul[c.minus_one][t] if k & 1 else t)
+            if not c.sum_is_null(terms):
+                out.append(("GP3", (x, y)))
+    return out
+
+
+GP_SIZES = [(n, r) for n in range(1, 5) for r in range(1, n + 1)]
+DIFFERENTIAL_COEFFS = {
+    "krasner": hyper.krasner,
+    "signs": hyper.signs,
+    "gf3": lambda: hyper.builtin("gf3"),
+    "krasnerfuzzy": fuzzy.krasner_fuzzy,
+    "signfuzzy": fuzzy.sign_fuzzy,
+}
+
+
+def _assert_matches_reference(c, sizes):
+    checked = 0
+    for n, r in sizes:
+        for vals in itertools.product([0, *c.units], repeat=math.comb(n, r)):
+            if not any(vals):
+                continue
+            phi = matroid.GPFunction(n, r, vals, c)
+            assert list(matroid.verify_gp(phi).violations) == _reference_violations(phi)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_COEFFS))
+def test_verify_gp_matches_reference(name):
+    # every nonzero assignment for 1 <= r <= n <= 4
+    assert _assert_matches_reference(DIFFERENTIAL_COEFFS[name](), GP_SIZES) > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_COEFFS))
+def test_verify_gp_matches_reference_perturbed(name, seed):
+    # one mul entry changed, row and column 0 and the row of -1 included: on
+    # a table that is not a field's the signs, the parities and the terms
+    # that are zero on a field all show in the sums
+    c = DIFFERENTIAL_COEFFS[name]()
+    rng = random.Random(f"{name}-{seed}")
+    perturbed = c
+    while perturbed.mul == c.mul or not perturbed.units:
+        i, j = rng.randrange(c.n), rng.randrange(c.n)
+        perturbed = _with_mul_entry(c, i, j, rng.randrange(c.n))
+    assert _assert_matches_reference(perturbed, [(3, 2), (4, 2)]) > 0
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_COEFFS))
+def test_verify_gp_matches_reference_negated_zero(name):
+    # (-1) * 0 = 1: the sign rule must leave a zero value alone
+    c = DIFFERENTIAL_COEFFS[name]()
+    perturbed = _with_mul_entry(c, c.minus_one, 0, 1)
+    assert _assert_matches_reference(perturbed, [(3, 2), (4, 2)]) > 0
+
+
+def _with_mul_entry(c, i, j, value):
+    rows = [list(row) for row in c.mul]
+    rows[i][j] = value
+    return replace(c, mul=tuple(map(tuple, rows)))
+
+
+def test_non_gp_witnesses_pinned():
+    # slots (01, 02, 03, 12, 13, 23) = (+, +, -, -, -, +): in the one
+    # three-term relation chi01 chi23 - chi02 chi13 + chi03 chi12 every term
+    # is +, so each (x, y) with y outside x fails; with y inside x the
+    # relation has two terms and holds by the sign rule
+    s = hyper.signs()
+    vals = (1, 1, 2, 2, 2, 1)
+    phi = matroid.GPFunction(4, 2, vals, s)
+    assert list(matroid.verify_gp(phi).violations) == [
+        ("GP3", ((0, 1, 2), (3,))),
+        ("GP3", ((0, 1, 3), (2,))),
+        ("GP3", ((0, 2, 3), (1,))),
+        ("GP3", ((1, 2, 3), (0,))),
+    ]
+    neg = s.mul[s.minus_one]
+    chi = dict(zip(itertools.combinations(range(4), 2), vals))
+    terms = [
+        s.mul[chi[0, 1]][chi[2, 3]],
+        neg[s.mul[chi[0, 2]][chi[1, 3]]],
+        s.mul[chi[0, 3]][chi[1, 2]],
+    ]
+    assert terms == [1, 1, 1]
+
+
+def _stirling2(m, p):
+    if m == p:
+        return 1
+    if p == 0 or p > m:
+        return 0
+    return p * _stirling2(m - 1, p) + _stirling2(m - 1, p - 1)
+
+
+def _rank2_chirotopes(n):
+    """Rank-2 chirotopes on n labelled elements, chi and -chi both counted.
+    Pick m nonloops, split them into p >= 2 parallel classes, orient each
+    class's members against its first one (2^(m-p)), and place the p lines
+    around the circle with the other p-1 on either side of the first
+    ((p-1)! 2^(p-1)); per partition that is 2^(m-1) (p-1)!."""
+    return sum(
+        math.comb(n, m) * 2 ** (m - 1) * _stirling2(m, p) * math.factorial(p - 1)
+        for m in range(2, n + 1)
+        for p in range(2, m + 1)
+    )
+
+
+def test_signs_reach_n5():
+    # 3^10 candidates per rank; rank 2 and rank 3 correspond by duality
+    assert _rank2_chirotopes(4) == 292
+    s = hyper.signs()
+    start = time.perf_counter()
+    counts = [len(matroid.enumerate_gp(s, 5, r)) for r in (2, 3)]
+    normalized = [len(matroid.enumerate_gp(s, 5, r, normalize=True)) for r in (2, 3)]
+    elapsed = time.perf_counter() - start
+    assert counts == [_rank2_chirotopes(5)] * 2 == [3604] * 2
+    assert normalized == [c // 2 for c in counts]
+    assert elapsed < 30
+
+
 def test_scaling_invariance():
     s = hyper.signs()
     for phi in matroid.enumerate_gp(s, 3, 2):
@@ -124,7 +260,7 @@ def test_onetoone_hyper_vs_powerset(name, n, r):
     fk = functors.F_obj(h)
     fb = ddhyper.Fbar(h)
     femb = ddhyper.fbar_embed(h)
-    space = itertools.product([0, *h.units], repeat=matroid._ncr(n, r))
+    space = itertools.product([0, *h.units], repeat=math.comb(n, r))
     for vals in space:
         if not any(vals):
             continue
