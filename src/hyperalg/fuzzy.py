@@ -90,9 +90,20 @@ def make_fuzzy_ring(add, mul, k0, epsilon=None, name: str = "") -> FiniteFuzzyRi
 #   FR7  a + b(c+d) null => a + bc + bd null  is  N(b(c+d)) <= N(bc + bd)
 #        for all b, c, d, given that addition is associative,
 #        (a + bc) + bd = a + (bc + bd), and commutative, a + s = s + a.
-# The inclusions are tested when the FR0 additive checks pass; otherwise the
-# quadruple sweep `_fr67_sweep` runs.  Either way the witness is the sweep's
-# first failing quadruple.
+# The inclusions are tested when the FR0 additive laws hold on the whole
+# carrier; otherwise the quadruple sweep `_fr67_sweep` runs.  Either way the
+# witness is the sweep's first failing quadruple.
+#
+# Every quantifier ranges over a domain D of carrier indices: the whole
+# carrier, or a window of a tabulated infinite ring (ordgrp).  Products of
+# elements of D stay in the carrier, so FR6 reads N(ac) over the carrier and
+# FR7 reads N_D(s) = N(s) & D; bc and bd may leave D, hence the additive laws
+# on the whole carrier.
+
+
+def _on(t, dom):
+    """t on dom x dom; t itself when dom is the whole carrier."""
+    return t if len(dom) == len(t) else t[np.ix_(dom, dom)]
 
 
 def _tables(k: FiniteFuzzyRing):
@@ -104,94 +115,106 @@ def _tables(k: FiniteFuzzyRing):
     return add, mul, nul
 
 
-def _assoc_witness(t: np.ndarray) -> tuple[int, int, int] | None:
-    """First (a, b, c) in row-major order with (ab)c != a(bc), checked one
-    a-slice at a time so that no n^3 array is built."""
-    for a in range(len(t)):
-        bad = np.argwhere(t[t[a]] != t[a][t])
+def _assoc_witness(t: np.ndarray, dom: np.ndarray) -> tuple[int, int, int] | None:
+    """First (a, b, c) over dom in row-major order with (ab)c != a(bc),
+    checked one a-slice at a time so that no n^3 array is built."""
+    t_dom = _on(t, dom)
+    cols = t if t_dom is t else t.take(dom, axis=1)  # C order: rows are gathered
+    for i, a in enumerate(dom):
+        bad = np.argwhere(cols[t_dom[i]] != t[a][t_dom])
         if bad.size:
-            return a, int(bad[0][0]), int(bad[0][1])
+            return int(a), int(dom[bad[0][0]]), int(dom[bad[0][1]])
     return None
 
 
 def check_fuzzy_axioms(k: FiniteFuzzyRing) -> AxiomReport:
-    v: list[Violation] = []
-    n = k.n
-    add, mul, nul = _tables(k)
-    idx = np.arange(n)
+    return _report(_fuzzy_violations(k, np.arange(k.n)))
 
-    def witness(mask, label, arity):
+
+def _fuzzy_violations(k: FiniteFuzzyRing, dom: np.ndarray) -> list[Violation]:
+    """FR0-FR7 with every quantifier over dom, increasing carrier indices;
+    the first witness of each axiom, in dom order."""
+    v: list[Violation] = []
+    add, mul, nul = _tables(k)
+    add_dom, mul_dom = _on(add, dom), _on(mul, dom)
+
+    def witness(mask, label, *axes):
         where = np.argwhere(mask)
         if where.size:
-            v.append((label, tuple(int(x) for x in where[0][:arity])))
+            v.append((label, tuple(int(ax[i]) for ax, i in zip(axes, where[0]))))
 
     # FR0: commutative monoids
-    witness(add != add.T, "FR0-add-commutative", 2)
-    witness(mul != mul.T, "FR0-mul-commutative", 2)
+    witness(add_dom != add_dom.T, "FR0-add-commutative", dom, dom)
+    witness(mul_dom != mul_dom.T, "FR0-mul-commutative", dom, dom)
     for t, label in ((add, "FR0-add-associative"), (mul, "FR0-mul-associative")):
-        w = _assoc_witness(t)
+        w = _assoc_witness(t, dom)
         if w is not None:
             v.append((label, w))
-    witness(add[0] != idx, "FR0-add-identity", 1)
-    witness(mul[1] != idx, "FR0-mul-identity", 1)
+    witness(add[0, dom] != dom, "FR0-add-identity", dom)
+    witness(mul[1, dom] != dom, "FR0-mul-identity", dom)
     # FR1
-    witness(mul[0] != 0, "FR1-absorbing", 1)
+    witness(mul[0, dom] != 0, "FR1-absorbing", dom)
     # FR2: units distribute
-    for u in k.units:
-        witness(mul[u][add] != add[np.ix_(mul[u], mul[u])], f"FR2-unit-{u}", 2)
+    units = sorted(set(k.units) & set(dom.tolist()))
+    for u in units:
+        mu = mul[u, dom]
+        witness(mul[u][add_dom] != add[np.ix_(mu, mu)], f"FR2-unit-{u}", dom, dom)
     # FR3
     if k.mul[k.epsilon][k.epsilon] != 1:
         v.append(("FR3", (k.epsilon,)))
     # FR4
-    nz = np.where(nul)[0]
+    nz = dom[nul[dom]]
     if nz.size:
-        witness(~nul[add[np.ix_(nz, nz)]], "FR4-add-closed", 2)
-        witness(~nul[mul[:, nz]], "FR4-mul-absorbing", 2)
+        witness(~nul[add[np.ix_(nz, nz)]], "FR4-add-closed", nz, nz)
+        witness(~nul[mul[np.ix_(dom, nz)]], "FR4-mul-absorbing", dom, nz)
     if not k.is_null(0):
         v.append(("FR4-zero-null", ()))
     if k.is_null(1):
         v.append(("FR4-one-not-null", ()))
     # FR5, both directions over units
-    for a in k.units:
+    for a in units:
         if nul[add[1][a]] != (a == k.epsilon):
             v.append(("FR5", (a,)))
-    if any(label.startswith("FR0-add") for label, _ in v):
-        v += _fr67_sweep(add, mul, nul, k.epsilon)
+    if len(dom) == k.n:
+        additive = not any(label.startswith("FR0-add") for label, _ in v)
     else:
+        additive = (add == add.T).all() and _assoc_witness(add, np.arange(k.n)) is None
+    if additive:
         null_of = nul[add]  # row s is N(s)
-        v += _fr6_inclusions(null_of, mul, k.epsilon)
-        v += _fr7_inclusions(null_of, add, mul)
-    return _report(v)
+        v += _fr6_inclusions(null_of, mul, k.epsilon, dom)
+        v += _fr7_inclusions(null_of, add, mul, dom)
+    else:
+        v += _fr67_sweep(add, mul, nul, k.epsilon, dom)
+    return v
 
 
-def _fr67_sweep(add, mul, nul, epsilon) -> list[Violation]:
-    """FR6 and FR7 over all quadruples; the first witness of each."""
+def _fr67_sweep(add, mul, nul, epsilon, dom=None) -> list[Violation]:
+    """FR6 and FR7 over quadruples from dom (default all); first witnesses."""
     v: list[Violation] = []
-    n = len(add)
+    dom = np.arange(len(add)) if dom is None else dom
+    add_dom, mul_dom = _on(add, dom), _on(mul, dom)
     # FR6: (a+b), (c+d) null  =>  ac + eps*bd null
-    emul = mul[epsilon][mul]  # emul[b,d] = eps*(b*d)
-    pairs = np.argwhere(nul[add])
+    emul = mul[epsilon][mul_dom]  # emul[b,d] = eps*(b*d)
+    pairs = np.argwhere(nul[add_dom])
     if pairs.size:
         pa, pb = pairs[:, 0], pairs[:, 1]
         chunk = max(1, 2_000_000 // max(1, len(pairs)))
         for i in range(0, len(pairs), chunk):
             a, b = pa[i : i + chunk], pb[i : i + chunk]
-            vals = add[mul[a[:, None], pa[None, :]], emul[b[:, None], pb[None, :]]]
+            vals = add[mul_dom[a[:, None], pa[None, :]], emul[b[:, None], pb[None, :]]]
             bad = np.argwhere(~nul[vals])
             if bad.size:
                 r, c = bad[0]
-                v.append(("FR6", (int(a[r]), int(b[r]), int(pa[c]), int(pb[c]))))
+                v.append(("FR6", tuple(dom[[a[r], b[r], pa[c], pb[c]]].tolist())))
                 break
     # FR7: a + b(c+d) null  =>  a + bc + bd null
-    p3 = mul[:, add]  # p3[b,c,d] = b*(c+d)
-    bc = mul  # bc[b,c]
-    for a in range(n):
+    p3 = mul[dom][:, add_dom]  # p3[b,c,d] = b*(c+d)
+    for a in dom:
         lhs_null = nul[add[a, p3]]
-        rhs = add[add[a, bc][:, :, None], mul[:, None, :]]
+        rhs = add[add[a, mul_dom][:, :, None], mul_dom[:, None, :]]
         bad = np.argwhere(lhs_null & ~nul[rhs])
         if bad.size:
-            b, c, d = bad[0]
-            v.append(("FR7", (a, int(b), int(c), int(d))))
+            v.append(("FR7", (int(a), *(int(dom[x]) for x in bad[0]))))
             break
     return v
 
@@ -204,60 +227,62 @@ def _packed(rows):
     return out.view(np.uint64)
 
 
-def _fr6_inclusions(null_of, mul, epsilon) -> list[Violation]:
-    """FR6 as eps*b*N(c) <= N(ac) over null pairs (a, b) and all c."""
-    n = len(mul)
-    pairs = np.argwhere(null_of)
+def _fr6_inclusions(null_of, mul, epsilon, dom) -> list[Violation]:
+    """FR6 as eps*b*N_D(c) <= N(ac) over null pairs (a, b) and all c in dom."""
+    null_dom = _on(null_of, dom)
+    pairs = np.argwhere(null_dom)
     if not pairs.size:
         return []
     pa, pb = pairs[:, 0], pairs[:, 1]
-    emul = mul[epsilon][mul]  # emul[b,d] = eps*(b*d)
+    mul_dom = _on(mul, dom)
+    emul = mul[epsilon][mul_dom]  # emul[b,d] = eps*(b*d)
     null_bits = _packed(null_of)
-    image = np.empty((n, n, null_bits.shape[1]), dtype=np.uint64)
-    for b in range(n):  # image[b, c] = eps*b*N(c): the pairs are the (c, d)
-        sets = np.zeros((n, n), dtype=bool)
+    image = np.empty(null_dom.shape + null_bits.shape[1:], dtype=np.uint64)
+    for b in range(len(dom)):  # image[b, c] = eps*b*N_D(c): the pairs are (c, d)
+        sets = np.zeros((len(dom), len(mul)), dtype=bool)
         sets[pa, emul[b, pb]] = True
         image[b] = _packed(sets)
     chunk = max(1, 2_000_000 // image[0].size)
     for i in range(0, len(pairs), chunk):
         a, b = pa[i : i + chunk], pb[i : i + chunk]
-        bad = (image[b] & ~null_bits[mul[a]]).any(axis=2)  # bad[pair, c]
+        bad = (image[b] & ~null_bits[mul_dom[a]]).any(axis=2)  # bad[pair, c]
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:
             r = failing[0]
-            a, b = int(a[r]), int(b[r])
-            c = int(np.flatnonzero(bad[r])[0])
-            d = np.flatnonzero(null_of[c] & ~null_of[mul[a, c], emul[b]])[0]
-            return [("FR6", (a, b, c, int(d)))]
+            a, b = a[r], b[r]
+            c = np.flatnonzero(bad[r])[0]
+            d = np.flatnonzero(null_dom[c] & ~null_of[mul_dom[a, c], emul[b]])[0]
+            return [("FR6", tuple(int(dom[x]) for x in (a, b, c, d)))]
     return []
 
 
-def _fr7_inclusions(null_of, add, mul) -> list[Violation]:
-    """FR7 as N(b(c+d)) <= N(bc+bd), each distinct pair tested once; needs
-    additive associativity and commutativity."""
+def _fr7_inclusions(null_of, add, mul, dom) -> list[Violation]:
+    """FR7 as N_D(b(c+d)) <= N_D(bc+bd) over b, c, d in dom, each distinct
+    pair tested once; needs additive associativity and commutativity."""
     n = len(add)
+    add_dom = _on(add, dom)
     marked = np.zeros((n, n), dtype=bool)
-    for b in range(n):
-        mb = mul[b]
-        marked[mb[add], add[mb[:, None], mb[None, :]]] = True
+    for b in dom:
+        mb = mul[b, dom]
+        marked[mul[b][add_dom], add[mb[:, None], mb[None, :]]] = True
     np.fill_diagonal(marked, False)
     p, q = np.nonzero(marked)
-    null_bits = _packed(null_of)
-    diff = null_bits[p] & ~null_bits[q]  # N(p) \ N(q)
+    null_bits = _packed(null_of[:, dom])  # row s is N_D(s)
+    diff = null_bits[p] & ~null_bits[q]  # N_D(p) \ N_D(q)
     bad = diff.any(axis=1)
     if not bad.any():
         return []
-    # the smallest a in some N(p) \ N(q); then the sweep's first (b, c, d)
+    # the first a in some N_D(p) \ N_D(q); then the sweep's first (b, c, d)
     union = np.unpackbits(np.bitwise_or.reduce(diff[bad]).view(np.uint8))
-    a = int(np.flatnonzero(union)[0])
-    for b in range(n):
-        mb = mul[b]
-        lhs_null = null_of[a, mb[add]]
+    a = dom[np.flatnonzero(union)[0]]
+    for b in dom:
+        mb = mul[b, dom]
+        lhs_null = null_of[a, mul[b][add_dom]]
         rhs_null = null_of[add[a, mb][:, None], mb[None, :]]
         where = np.argwhere(lhs_null & ~rhs_null)
         if where.size:
             c, d = where[0]
-            return [("FR7", (a, b, int(c), int(d)))]
+            return [("FR7", (int(a), int(b), int(dom[c]), int(dom[d])))]
     raise AssertionError("FR7 inclusion failed but no quadruple does")
 
 

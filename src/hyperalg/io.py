@@ -32,9 +32,13 @@ def _require(cond: bool, msg: str):
         raise StructureError(msg)
 
 
-def _is_index(x, n: int) -> bool:
+def _is_int(x) -> bool:
     # JSON true/false load as bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_index(x, n: int) -> bool:
+    return _is_int(x) and 0 <= x < n
 
 
 def _is_index_array(xs, n: int) -> bool:
@@ -186,10 +190,11 @@ def fuzzyring_from_dict(d: dict) -> FiniteFuzzyRing:
 def gp_from_dict(d: dict) -> GPFunction:
     _check_header(d, "gp")
     coeff = structure_from_dict(d.get("coefficient"))
+    n, r, values = d.get("ground_size"), d.get("rank"), d.get("values", [])
+    ints = isinstance(values, list) and all(map(_is_int, [n, r, *values]))
+    _require(ints, "ground_size, rank and values must be integers")
     try:
-        return GPFunction(
-            d.get("ground_size"), d.get("rank"), tuple(d.get("values", ())), coeff
-        )
+        return GPFunction(n, r, tuple(values), coeff)
     except (TypeError, ValueError) as e:
         raise StructureError(str(e)) from e
 
@@ -201,7 +206,7 @@ def _ogsubset_from_dict(d: dict) -> OGSubset:
     )
     u = d.get("upper")
     _require(
-        u is None or (isinstance(u, int) and not isinstance(u, bool)),
+        u is None or _is_int(u),
         "upper must be an integer or null",
     )
     return singleton(u) if d["tag"] == "sing" else down(u)

@@ -3,7 +3,11 @@ on singletons and down-intervals, window-bounded verification of their
 agreement, and Zariski systems.
 
 All infinite-carrier claims are checked on symmetric windows [-B, B]; every
-report speaks only about the window it was computed on.
+report speaks only about the window it was computed on.  The fuzzy-ring laws
+FR0-FR7 and double distributivity are checked on tables of K over uppers in
+[-3B, 3B], by the kernel of `fuzzy.check_fuzzy_axioms`, with every quantifier
+over [-B, B]; each report gives the first witness per axiom, rendered as
+subsets, and is never truncated.
 """
 
 from __future__ import annotations
@@ -11,6 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
+from .core import mask_of
+from .fuzzy import FiniteFuzzyRing, _fuzzy_violations
 from .hyper import AxiomReport, Violation, _report
 
 # OGElem: an integer, or None for Bottom (the adjoined absorbing zero,
@@ -121,13 +129,6 @@ def kgamma_is_unit(a: OGSubset) -> bool:
     return a.tag == "sing" and a.upper is not None
 
 
-def kgamma_add_many(elems) -> OGSubset:
-    acc = KG_ZERO
-    for e in elems:
-        acc = kgamma_add(acc, e)
-    return acc
-
-
 def og_subset_contains(a: OGSubset, b: OGSubset) -> bool:
     """Set containment a <= b of the denoted subsets of Z u {Bottom}."""
     if a.tag == "sing":
@@ -202,21 +203,44 @@ def check_window_hypergroup(b: int = 4) -> AxiomReport:
     return _report(v)
 
 
+def _kgamma_ring(b: int) -> tuple[list[OGSubset], dict, FiniteFuzzyRing]:
+    """K tabulated on 0, 1, the rest of the window subsets, then every
+    singleton and down-interval with upper in [-3B, 3B], where the products of
+    three window subsets lie.  A value outside the carrier is the index n, so
+    a table read through it raises IndexError."""
+    r = 3 * max(b, 0)  # an empty window still needs 1 + 1 = [_|_, 0]
+    wide = [f(v) for f in (singleton, down) for v in range(-r, r + 1)]
+    subs = list(dict.fromkeys([KG_ZERO, KG_ONE, *window_subsets(b), *wide]))
+    index = {s: i for i, s in enumerate(subs)}
+    n = len(subs)
+
+    def table(op):
+        return tuple(tuple(index.get(op(x, y), n) for y in subs) for x in subs)
+
+    k0 = mask_of(i for i, s in enumerate(subs) if kgamma_is_null(s))
+    add, mul = table(kgamma_add), table(kgamma_mul)
+    return subs, index, FiniteFuzzyRing(n, add, mul, index[KG_EPSILON], k0)
+
+
 def check_window_doubly_distributive(b: int = 4) -> AxiomReport:
-    """(x+y)(z+w) = xz + xw + yz + yw for all window quadruples, evaluated
-    symbolically (sums and products of singletons and down-intervals)."""
-    v: list[Violation] = []
+    """(x+y)(z+w) = xz + xw + yz + yw for all window quadruples, read from
+    the tables of K (the singleton products folded into 0 in this order);
+    the first failing quadruple is the witness."""
+    _, index, k = _kgamma_ring(b)
+    add, mul = np.array(k.add), np.array(k.mul)
     elems = window_elements(b)
-    for x, y, z, w in itertools.product(elems, repeat=4):
-        lhs = kgamma_mul(hgamma_add(x, y), hgamma_add(z, w))
-        rhs = kgamma_add_many(
-            singleton(og_mul(p, q)) for p, q in ((x, z), (x, w), (y, z), (y, w))
-        )
-        if lhs != rhs:
-            v.append(("double-distributivity", (x, y, z, w)))
-            if len(v) >= 5:
-                break
-    return _report(v)
+    sing = np.array([index[singleton(x)] for x in elems])
+    hs = np.array([[index[hgamma_add(x, y)] for y in elems] for x in elems])
+    prod = mul[np.ix_(sing, sing)]  # prod[x, z] = {xz}
+    for x in range(len(elems)):  # arrays indexed [y, z, w]
+        lhs = mul[hs[x][:, None, None], hs]
+        rhs = add[add[add[0, prod[x]][:, None], prod[x]], prod[:, :, None]]
+        rhs = add[rhs, prod[:, None, :]]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            witness = tuple(elems[i] for i in (x, *bad[0]))
+            return _report([("double-distributivity", witness)])
+    return _report([])
 
 
 def check_window_closure(b: int = 4) -> AxiomReport:
@@ -279,72 +303,17 @@ def check_fbar_hgamma_iso_kgamma(b: int) -> AxiomReport:
 
 
 def check_window_fuzzy_axioms(b: int = 4) -> AxiomReport:
-    """Fuzzy-ring laws for the symbolic K, quantifiers bounded to window
-    subsets (uppers in [-B, B])."""
-    v: list[Violation] = []
-    subs = window_subsets(b)
-    units = [a for a in subs if kgamma_is_unit(a)]
-    nul = kgamma_is_null
-
-    def w(label, *args):
-        v.append((label, tuple(str(x) for x in args)))
-
-    for x, y in itertools.product(subs, repeat=2):
-        if kgamma_add(x, y) != kgamma_add(y, x):
-            w("FR0-add-comm", x, y)
-        if kgamma_mul(x, y) != kgamma_mul(y, x):
-            w("FR0-mul-comm", x, y)
-    for x in subs:
-        if kgamma_add(x, KG_ZERO) != x:
-            w("FR0-add-id", x)
-        if kgamma_mul(x, KG_ONE) != x:
-            w("FR0-mul-id", x)
-        if kgamma_mul(x, KG_ZERO) != KG_ZERO:
-            w("FR1", x)
-    for x, y, z in itertools.product(subs, repeat=3):
-        if kgamma_add(kgamma_add(x, y), z) != kgamma_add(x, kgamma_add(y, z)):
-            w("FR0-add-assoc", x, y, z)
-        if kgamma_mul(kgamma_mul(x, y), z) != kgamma_mul(x, kgamma_mul(y, z)):
-            w("FR0-mul-assoc", x, y, z)
-    # FR2: units distribute over +
-    for u in units:
-        for x, y in itertools.product(subs, repeat=2):
-            if kgamma_mul(u, kgamma_add(x, y)) != kgamma_add(
-                kgamma_mul(u, x), kgamma_mul(u, y)
-            ):
-                w("FR2", u, x, y)
-    # FR3
-    if kgamma_mul(KG_EPSILON, KG_EPSILON) != KG_ONE:
-        w("FR3")
-    # FR4: nulls closed under + and absorb under x
-    for x, y in itertools.product(subs, repeat=2):
-        if nul(x) and nul(y) and not nul(kgamma_add(x, y)):
-            w("FR4-add-closed", x, y)
-        if nul(y) and not nul(kgamma_mul(x, y)):
-            w("FR4-mul-absorbing", x, y)
-    # FR5
-    for u in units:
-        if nul(kgamma_add(KG_ONE, u)) != (u == KG_EPSILON):
-            w("FR5", u)
-    # FR6: a+b, c+d null => ac + eps*bd null
-    null_pairs = [
-        (x, y) for x, y in itertools.product(subs, repeat=2) if nul(kgamma_add(x, y))
-    ]
-    for (a, bb), (c, d) in itertools.product(null_pairs, repeat=2):
-        val = kgamma_add(
-            kgamma_mul(a, c), kgamma_mul(KG_EPSILON, kgamma_mul(bb, d))
-        )
-        if not nul(val):
-            w("FR6", a, bb, c, d)
-    # FR7: a + b(c+d) null => a + bc + bd null
-    for a, bb, c, d in itertools.product(subs, repeat=4):
-        if nul(kgamma_add(a, kgamma_mul(bb, kgamma_add(c, d)))):
-            rhs = kgamma_add(
-                kgamma_add(a, kgamma_mul(bb, c)), kgamma_mul(bb, d)
-            )
-            if not nul(rhs):
-                w("FR7", a, bb, c, d)
-    return _report(v[:25]) if v else _report(v)
+    """Fuzzy-ring laws FR0-FR7 for K with every quantifier over the window
+    subsets (uppers in [-B, B]), checked on the tables of `_kgamma_ring`.
+    The first witness per axiom, every carrier index rendered as its subset."""
+    subs, _, k = _kgamma_ring(b)
+    v = []
+    for label, witness in _fuzzy_violations(k, np.arange(len(window_subsets(b)))):
+        head, _, unit = label.rpartition("-")
+        if head == "FR2-unit":
+            label = f"FR2-unit-{subs[int(unit)]}"
+        v.append((label, tuple(str(subs[i]) for i in witness)))
+    return _report(v)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hyperalg import ddhyper, fuzzy, hyper, io, ordgrp
+from hyperalg import ddhyper, fuzzy, hyper, io, matroid, ordgrp
 from hyperalg.cli import main
 
 
@@ -56,6 +56,8 @@ def test_malformed_file_exits_2(tmp_path, capsys):
         ("fuzzyring", ("k0",), [True, 2]),  # a JSON bool is not an index
         ("fuzzyring", ("epsilon",), 1.0),
         ("zariski", ("functions", 0, 0, "upper"), True),  # a bool is not an integer
+        ("gp", (), {"ground_size": True, "rank": 1, "values": [1]}),
+        ("gp", ("values",), [True, 0]),
     ],
 )
 def test_malformed_structure_exits_2(kind, path, value, tmp_path, capsys):
@@ -64,12 +66,16 @@ def test_malformed_structure_exits_2(kind, path, value, tmp_path, capsys):
         "demifield": ddhyper.F1(hyper.signs()),
         "zariski": ordgrp.generate_zariski(("p", "q"), [(s0, d0), (d0, s0)]),
         "fuzzyring": fuzzy.krasner_fuzzy(),
+        "gp": matroid.GPFunction(2, 1, (1, 1), hyper.signs()),
     }
     d = io.structure_to_dict(valid[kind])
-    target = d
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    if path:
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        d.update(value)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(d))
     assert main(["check", str(p)]) == 2
@@ -170,6 +176,14 @@ def test_ordgrp_demo(capsys):
     assert main(["ordgrp-demo", "--window", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count(": pass") == 4
+    for b in (2, 4):
+        assert main(["ordgrp-demo", "--window", str(b)]) == 0
+        assert capsys.readouterr().out == (
+            f"hypergroup laws on [-{b},{b}]: pass\n"
+            f"double distributivity on [-{b},{b}]: pass\n"
+            f"fuzzy ring laws on [-{b},{b}]: pass\n"
+            f"reduced powerset ring matches symbolic ring on [-{b},{b}]: pass\n"
+        )
 
 
 def test_usage_error_exits_2():

@@ -184,6 +184,17 @@ def test_fr0_add_associativity_failure_pinned():
     assert _first_nonassociative(k.add) == (1, 2, 5)
 
 
+def test_fr4_witnesses_are_elements():
+    # F(GF(3)) has K0 = {0, 2, 4, 6}: a witness names carrier elements, not
+    # positions in K0
+    k = F_obj(builtin("gf3")).fuzzy
+    assert list(bits(k.k0)) == [0, 2, 4, 6]
+    closed = check_fuzzy_axioms(_with_entry(k, "add", 4, 6, 1)).violations
+    assert ("FR4-add-closed", (4, 6)) in closed
+    absorbing = check_fuzzy_axioms(_with_entry(k, "mul", 3, 4, 1)).violations
+    assert ("FR4-mul-absorbing", (3, 4)) in absorbing
+
+
 def test_fuzzy_axioms_reach_gf8():
     # 255 elements: the quadruple sweep would take minutes
     k = F_obj(field_hyperfield(8)).fuzzy

@@ -2,6 +2,11 @@
 on singletons and down-intervals, window-bounded verification, and Zariski
 systems."""
 
+import functools
+import itertools
+import random
+import time
+
 import pytest
 
 from hyperalg import ddhyper, hyper, ordgrp
@@ -86,6 +91,158 @@ def test_embed_realizations():
     assert ordgrp.kgamma_embed(singleton(2), 3) == frozenset([2])
     assert ordgrp.kgamma_embed(down(1), 3) == frozenset([BOTTOM, -3, -2, -1, 0, 1])
     assert ordgrp.kgamma_embed(KG_ZERO, 3) == frozenset([BOTTOM])
+
+
+# ---------------------------------------------------------------------------
+# the window checks against symbolic oracles: every violation, evaluated on
+# OGSubset values, in the labels and quantifier forms of the table kernel
+
+
+def _oracle_fuzzy(b):
+    subs = ordgrp.window_subsets(b)
+    add, mul, nul = ordgrp.kgamma_add, ordgrp.kgamma_mul, ordgrp.kgamma_is_null
+    units = [u for u in subs if any(mul(u, x) == KG_ONE for x in subs)]
+    v = []
+
+    def w(label, *args):
+        v.append((label, tuple(str(x) for x in args)))
+
+    for x, y in itertools.product(subs, repeat=2):
+        if add(x, y) != add(y, x):
+            w("FR0-add-commutative", x, y)
+        if mul(x, y) != mul(y, x):
+            w("FR0-mul-commutative", x, y)
+    for x, y, z in itertools.product(subs, repeat=3):
+        if add(add(x, y), z) != add(x, add(y, z)):
+            w("FR0-add-associative", x, y, z)
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            w("FR0-mul-associative", x, y, z)
+    for x in subs:
+        if add(KG_ZERO, x) != x:
+            w("FR0-add-identity", x)
+        if mul(KG_ONE, x) != x:
+            w("FR0-mul-identity", x)
+        if mul(KG_ZERO, x) != KG_ZERO:
+            w("FR1-absorbing", x)
+    for u in units:
+        for x, y in itertools.product(subs, repeat=2):
+            if mul(u, add(x, y)) != add(mul(u, x), mul(u, y)):
+                w(f"FR2-unit-{u}", x, y)
+    if mul(KG_EPSILON, KG_EPSILON) != KG_ONE:
+        w("FR3", KG_EPSILON)
+    for x, y in itertools.product(subs, repeat=2):
+        if nul(x) and nul(y) and not nul(add(x, y)):
+            w("FR4-add-closed", x, y)
+        if nul(y) and not nul(mul(x, y)):
+            w("FR4-mul-absorbing", x, y)
+    if not nul(KG_ZERO):
+        w("FR4-zero-null")
+    if nul(KG_ONE):
+        w("FR4-one-not-null")
+    for u in units:
+        if nul(add(KG_ONE, u)) != (u == KG_EPSILON):
+            w("FR5", u)
+    pairs = [(x, y) for x, y in itertools.product(subs, repeat=2) if nul(add(x, y))]
+    for (a, bb), (c, d) in itertools.product(pairs, repeat=2):
+        if not nul(add(mul(a, c), mul(KG_EPSILON, mul(bb, d)))):
+            w("FR6", a, bb, c, d)
+    for a, bb, c, d in itertools.product(subs, repeat=4):
+        if nul(add(a, mul(bb, add(c, d)))) and not nul(
+            add(add(a, mul(bb, c)), mul(bb, d))
+        ):
+            w("FR7", a, bb, c, d)
+    return v
+
+
+def _oracle_dd(b):
+    elems = ordgrp.window_elements(b)
+    v = []
+    for x, y, z, w in itertools.product(elems, repeat=4):
+        lhs = ordgrp.kgamma_mul(ordgrp.hgamma_add(x, y), ordgrp.hgamma_add(z, w))
+        terms = [
+            ordgrp.kgamma_mul(singleton(p), singleton(q))
+            for p, q in ((x, z), (x, w), (y, z), (y, w))
+        ]
+        if lhs != functools.reduce(ordgrp.kgamma_add, terms, KG_ZERO):
+            v.append(("double-distributivity", (x, y, z, w)))
+    return v
+
+
+def _assert_matches_oracle(b):
+    """The same violated axioms on both sides, and every kernel witness is
+    one of the oracle's violations."""
+    for kernel, oracle in (
+        (ordgrp.check_window_fuzzy_axioms(b), _oracle_fuzzy(b)),
+        (ordgrp.check_window_doubly_distributive(b), _oracle_dd(b)),
+    ):
+        assert {l for l, _ in kernel.violations} == {l for l, _ in oracle}
+        assert kernel.passed == (not oracle)
+        for violation in kernel.violations:
+            assert violation in oracle
+
+
+def _mutate(monkeypatch, name, x, y, z, symmetric):
+    """Make ordgrp.<name>(x, y), and (y, x) if symmetric, return z."""
+    orig = getattr(ordgrp, name)
+    cases = {(x, y), (y, x)} if symmetric else {(x, y)}
+    monkeypatch.setattr(
+        ordgrp, name, lambda p, q: z if (p, q) in cases else orig(p, q)
+    )
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_window_checks_match_oracle(b):
+    _assert_matches_oracle(b)
+    assert ordgrp.check_window_fuzzy_axioms(b).passed
+    assert ordgrp.check_window_doubly_distributive(b).passed
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_window_checks_match_oracle_mutated(seed, monkeypatch):
+    rng = random.Random(seed)
+    b = rng.choice((1, 2))
+    name = rng.choice(("kgamma_add", "kgamma_mul"))
+    subs = ordgrp.window_subsets(b)
+    x, y = rng.choice(subs), rng.choice(subs)
+    z = rng.choice([s for s in subs if s != getattr(ordgrp, name)(x, y)])
+    _mutate(monkeypatch, name, x, y, z, symmetric=rng.random() < 0.5)
+    _assert_matches_oracle(b)
+
+
+def test_window_fr7_ignores_elements_outside_window(monkeypatch):
+    # with {1}{1} = {1}, b = c = d = {1} gives b(c+d) = [_|_, 2] and
+    # bc + bd = [_|_, 1]; their null sets differ only at {2}, outside [-1, 1]
+    _mutate(monkeypatch, "kgamma_mul", singleton(1), singleton(1), singleton(1), True)
+    _assert_matches_oracle(1)
+    assert "FR7" not in {l for l, _ in ordgrp.check_window_fuzzy_axioms(1).violations}
+
+
+def test_window_fr6_failure_pinned(monkeypatch):
+    # [_|_, 2] * [_|_, 0] = {2} loses Bottom; FR0-mul-associative alone has
+    # more than 25 witnesses, and FR4 and FR6 are reported all the same
+    _mutate(monkeypatch, "kgamma_mul", down(2), down(0), singleton(2), True)
+    assert len(_oracle_fuzzy(2)) > 25
+    assert list(ordgrp.check_window_fuzzy_axioms(2).violations) == [
+        ("FR0-mul-associative", ("{-2}", "[_|_, 0]", "[_|_, 2]")),
+        ("FR4-mul-absorbing", ("[_|_, 0]", "[_|_, 2]")),
+        ("FR6", ("{_|_}", "[_|_, 0]", "{_|_}", "[_|_, 2]")),
+    ]
+    assert list(ordgrp.check_window_doubly_distributive(2).violations) == [
+        ("double-distributivity", (0, 0, 2, 2))
+    ]
+
+
+def test_window_checks_empty_window():
+    # [-B, B] holds only Bottom for B < 0
+    assert ordgrp.check_window_fuzzy_axioms(-1).passed
+    assert ordgrp.check_window_doubly_distributive(-1).passed
+
+
+def test_window_checks_reach_16():
+    start = time.perf_counter()
+    assert ordgrp.check_window_fuzzy_axioms(16).passed
+    assert ordgrp.check_window_doubly_distributive(16).passed
+    assert time.perf_counter() - start < 10
 
 
 # ---------------------------------------------------------------------------
