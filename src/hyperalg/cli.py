@@ -172,6 +172,8 @@ def cmd_triangle_demo(args) -> int:
 
 def cmd_ordgrp_demo(args) -> int:
     b = args.window
+    if b < 1:
+        raise ValueError("window must be >= 1")
     ok = True
     ok &= _print_report(
         f"hypergroup laws on [-{b},{b}]", ordgrp.check_window_hypergroup(b)

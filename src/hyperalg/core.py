@@ -4,7 +4,9 @@ Carrier elements are integers 0..n-1 with 0 the additive identity and 1 the
 multiplicative identity.  A subset of the carrier is a machine-word bitmask
 (bit i set iff element i is a member), so n is capped at 64.  Hyperaddition
 tables are n x n arrays of masks; single-valued tables are n x n arrays of
-element indices.
+element indices.  The tables of + and x on a family of masks (family_tables)
+are built with vectorized ORs over uint64 arrays; the pair loop over
+extend_hyperop and mask_mul that they replace is the test oracle.
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 MAX_CARRIER = 64
 
 # F(R) materializes 2^n - 1 operation tables, O(4^n) entries, so powerset
-# constructions get a much lower cap.
+# constructions get a much lower cap.  F_obj also refuses a result over the
+# fuzzy-ring carrier cap of 4096 elements, which makes 12 the effective limit.
 DEFAULT_POWERSET_CAP = 8
 HARD_POWERSET_CAP = 16
 
@@ -78,22 +83,37 @@ def family_tables(
     add: Sequence[Sequence[int]],
     mul: Sequence[Sequence[int]],
     family: Sequence[int],
-    index: dict[int, int],
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Index tables of + (extend_hyperop) and x (mask_mul) on a mask family.
 
-    `index` maps each member mask to its position in `family`; a sum or
-    product outside the family raises KeyError.  The base tables are
-    commutative, so only the upper triangle is computed and then mirrored.
+    Both mask tables are built together over uint64 arrays, with rows the
+    base add table and 1 << mul: r[a, j] is the OR of rows[a][b] over b in
+    family[j], and row i of a table is the OR of r[a] over a in family[i]
+    (n vector ORs).  Positions come from a binary search in the sorted
+    family, so no array over all 2^n masks is built.  The lower triangle
+    mirrors the upper one, as in a commutative table, also for a hand-built
+    table that is not commutative.  A sum or product outside the family
+    raises KeyError(mask) for the first one in row-major order, + before x;
+    with mirrored tables that is the first one in the upper triangle.
     """
-    m = len(family)
-    add_t = [[0] * m for _ in range(m)]
-    mul_t = [[0] * m for _ in range(m)]
-    for i, mi in enumerate(family):
-        for j in range(i, m):
-            mj = family[j]
-            add_t[i][j] = add_t[j][i] = index[extend_hyperop(add, mi, mj)]
-            mul_t[i][j] = mul_t[j][i] = index[mask_mul(mul, mi, mj)]
+    fam = np.array(family, dtype=np.uint64)
+    n, m = len(add), len(fam)
+    member = (fam[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1) == 1
+    rows = np.stack(  # rows[0] for +, rows[1] for x
+        [np.array(add, dtype=np.uint64), np.uint64(1) << np.array(mul, dtype=np.uint64)]
+    )
+    r = np.bitwise_or.reduce(np.where(member, rows[:, :, None, :], 0), axis=3)
+    t = np.zeros((2, m, m), dtype=np.uint64)
+    for a in range(n):
+        np.bitwise_or(t, r[:, None, a], out=t, where=member[:, a, None])
+    t = np.where(np.tri(m, k=-1, dtype=bool), t.swapaxes(1, 2), t)
+    order = np.argsort(fam)
+    at = order[np.minimum(np.searchsorted(fam[order], t), m - 1)]
+    inside = fam[at] == t
+    if not inside.all():
+        i, j = np.argwhere(~inside.all(axis=0))[0]
+        raise KeyError(int(t[1, i, j] if inside[0, i, j] else t[0, i, j]))
+    add_t, mul_t = at.tolist()
     return add_t, mul_t
 
 

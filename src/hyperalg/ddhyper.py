@@ -105,7 +105,7 @@ def F1(f: FiniteHyperring) -> PartialDemifield:
         raise NotDoublyDistributive(rep.violations[0][1])
     sc = closure_S(f)
     try:
-        add, mul = family_tables(f.add, f.mul, sc.family, sc.index)
+        add, mul = family_tables(f.add, f.mul, sc.family)
     except KeyError as e:  # a sum or product left the closure
         raise NotDoublyDistributive(e.args[0]) from e
     embed = tuple(sc.index[1 << x] for x in range(f.n))

@@ -25,6 +25,7 @@ from .hyper import (
     make_hyperring,
 )
 from .fuzzy import (
+    MAX_FUZZY_CARRIER,
     FiniteFuzzyRing,
     MorphismTable,
     check_strong_morphism,
@@ -56,9 +57,15 @@ def F_obj(r: FiniteHyperring) -> PowersetFuzzyRing:
             f"carrier {r.n} over powerset cap {powerset_cap()}"
             " (override with HYPERALG_MAX_POWERSET)"
         )
+    size = (1 << r.n) - (0 if r.partial else 1)
+    if size > MAX_FUZZY_CARRIER:
+        raise CarrierTooLarge(
+            f"F of a {r.n}-element carrier has {size} elements,"
+            f" over {MAX_FUZZY_CARRIER}"
+        )
     masks = subset_order(r.n, include_empty=r.partial)
     index = {m: i for i, m in enumerate(masks)}
-    add, mul = family_tables(r.add, r.mul, masks, index)
+    add, mul = family_tables(r.add, r.mul, masks)
     k0 = mask_of(i for i, mk in enumerate(masks) if mk & 1)
     eps = index[1 << r.neg[1]]
     fuzzy = make_fuzzy_ring(add, mul, k0, epsilon=eps, name=f"F({r.name or '?'})")

@@ -210,7 +210,7 @@ def _fr67_sweep(add, mul, nul, epsilon, dom=None) -> list[Violation]:
     # FR7: a + b(c+d) null  =>  a + bc + bd null
     p3 = mul[dom][:, add_dom]  # p3[b,c,d] = b*(c+d)
     for a in dom:
-        lhs_null = nul[add[a, p3]]
+        lhs_null = nul[add[a][p3]]
         rhs = add[add[a, mul_dom][:, :, None], mul_dom[:, None, :]]
         bad = np.argwhere(lhs_null & ~nul[rhs])
         if bad.size:

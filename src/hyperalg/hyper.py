@@ -5,6 +5,10 @@ A structure lives on indices 0..n-1 with 0 the additive identity and 1 the
 multiplicative identity.  Hyperaddition rows are subset masks; multiplication
 is single-valued.  Partial structures (hypersums allowed to be empty) reuse
 the same type with a flag.
+
+Homomorphisms are enumerated by depth-first backtracking that checks each
+pair of elements as soon as its images are assigned; the brute-force loop
+over every map is the test oracle.
 """
 
 from __future__ import annotations
@@ -465,10 +469,14 @@ def enumerate_homs(
     strict: bool = False,
     fixed: dict[int, int] | None = None,
 ) -> list[tuple[int, ...]]:
-    """All maps fixing 0 and 1 that pass check_hom, exhaustively.
+    """All maps fixing 0 and 1 that pass check_hom, by depth-first search.
 
     `fixed` pins additional images (used e.g. to search for homs restricting
-    to a given map on units).  Results are re-verified by check_hom, sorted.
+    to a given map on units).  Elements get images in the order 0, 1, the
+    other fixed elements, then the free ones ascending; each pair (a, b) is
+    checked as in check_hom at the first step where a, b, ab and every
+    element of a+b have images, and a failing pair prunes the subtree.
+    Results are re-verified by check_hom, sorted.
     """
     if r.n > ENUM_CARRIER_CAP:
         raise CarrierTooLarge(f"carrier {r.n} over enumeration cap")
@@ -478,15 +486,38 @@ def enumerate_homs(
     free = [x for x in range(r.n) if x not in fixed]
     if s.n ** len(free) > 5_000_000:
         raise CarrierTooLarge("hom search space too large")
+    order = [0, 1, *(x for x in fixed if x > 1), *free]
+    step = {x: k for k, x in enumerate(order)}
+    pairs: list[list[tuple]] = [[] for _ in order]
+    for a, b in itertools.product(range(r.n), repeat=2):
+        ab, summands = r.mul[a][b], tuple(bits(r.add[a][b]))
+        pairs[max(step[x] for x in (a, b, ab, *summands))].append((a, b, ab, summands))
+    smul, sadd = s.mul, s.add
+    f = [0] * r.n
     out = []
-    for images in itertools.product(range(s.n), repeat=len(free)):
-        f = [0] * r.n
-        for x, y in fixed.items():
+
+    def pair_holds(a, b, ab, summands) -> bool:
+        fa, fb = f[a], f[b]
+        if f[ab] != smul[fa][fb]:
+            return False
+        image = 0
+        for x in summands:
+            image |= 1 << f[x]
+        target = sadd[fa][fb]
+        return image == target if strict else not image & ~target
+
+    def extend(k: int) -> None:
+        if k == len(order):
+            if check_hom(f, r, s, strict=strict).passed:
+                out.append(tuple(f))
+            return
+        x = order[k]
+        for y in (fixed[x],) if x in fixed else range(s.n):
             f[x] = y
-        for x, y in zip(free, images):
-            f[x] = y
-        if check_hom(f, r, s, strict=strict).passed:
-            out.append(tuple(f))
+            if 0 <= y < s.n and all(pair_holds(*p) for p in pairs[k]):
+                extend(k + 1)
+
+    extend(0)
     out.sort()
     return out
 

@@ -85,7 +85,10 @@ def _gp_plan(n: int, r: int) -> tuple:
     combinations order, the witness (x, y) and the terms
     (parity k, slot of x without k, its parity, slot of (x_k, *y), its
     parity), slot -1 standing for a repeated entry.  Terms that are zero
-    whatever the values are kept, so the sums are value()'s exactly."""
+    whatever the values are kept, so the sums are value()'s exactly.
+    Rank 0 has no (r-1)-tuples, hence no relations: they hold vacuously."""
+    if r == 0:
+        return ()
     slots = _slot_index(n, r)
     plan = []
     for x in itertools.combinations(range(n), r + 1):

@@ -186,6 +186,26 @@ def test_ordgrp_demo(capsys):
         )
 
 
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_ordgrp_demo_rejects_window_below_1(window, capsys):
+    assert main(["ordgrp-demo", "--window", window]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: window must be >= 1\n"
+
+
+def test_rank_0_gp_checks(tmp_path, capsys):
+    p = tmp_path / "gp0.json"
+    io.save_structure(matroid.GPFunction(2, 0, (1,), hyper.signs()), p)
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("exchange relations: pass\n")
+    argv = ["matroids", "--coeff", "signs", "-n", "2", "-r", "0", "--oracle"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "2 Grassmann-Pluecker functions" in out
+    assert "oracle agreement: pass" in out
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["check"])  # missing path

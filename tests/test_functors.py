@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 import hyperalg as ha
@@ -67,6 +69,37 @@ def test_F_powerset_cap(monkeypatch):
     monkeypatch.setenv("HYPERALG_MAX_POWERSET", "4")
     with pytest.raises(CarrierTooLarge):
         F_obj(builtin("kh-klein4"))
+
+
+def test_F_size_guard_before_tables(monkeypatch):
+    # F of a 13-element ring has 8191 elements, over the fuzzy-ring cap of
+    # 4096: raised before any table is built (the pair loop took minutes)
+    monkeypatch.setenv("HYPERALG_MAX_POWERSET", "13")
+
+    def timed_out(signum, frame):
+        raise TimeoutError("F_obj did not reject the carrier at once")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        with pytest.raises(CarrierTooLarge, match="8191 elements"):
+            F_obj(ha.field_hyperfield(13))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_F_size_guard_boundary(monkeypatch):
+    # 2^n - 1 elements, one more (the empty set) when the base is partial
+    monkeypatch.setattr(ha.functors, "MAX_FUZZY_CARRIER", 7)
+    assert F_obj(builtin("signs")).fuzzy.n == 7
+    with pytest.raises(CarrierTooLarge):
+        F_obj(unit_field_z())
+    monkeypatch.setattr(ha.functors, "MAX_FUZZY_CARRIER", 8)
+    assert F_obj(unit_field_z()).fuzzy.n == 8
+    monkeypatch.setattr(ha.functors, "MAX_FUZZY_CARRIER", 6)
+    with pytest.raises(CarrierTooLarge):
+        F_obj(builtin("signs"))
 
 
 def test_F_mor_functoriality():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperalg as ha
 from hyperalg.core import mask_of
@@ -156,6 +157,60 @@ def test_hom_signs_to_krasner():
     homs = enumerate_homs(signs(), krasner())
     assert [dict(h) if isinstance(h, dict) else h for h in homs] == [(0, 1, 1)]
     assert check_hom((0, 1, 1), signs(), krasner()).passed
+
+
+def _brute_force_homs(r, s, strict=False, fixed=None):
+    """enumerate_homs before the backtracking: check_hom on every map in
+    itertools.product order, sorted."""
+    fixed = dict(fixed or {})
+    fixed.setdefault(0, 0)
+    fixed.setdefault(1, 1)
+    free = [x for x in range(r.n) if x not in fixed]
+    out = []
+    for images in itertools.product(range(s.n), repeat=len(free)):
+        f = [0] * r.n
+        for x, y in fixed.items():
+            f[x] = y
+        for x, y in zip(free, images):
+            f[x] = y
+        if check_hom(f, r, s, strict=strict).passed:
+            out.append(tuple(f))
+    out.sort()
+    return out
+
+
+SMALL = ["krasner", "signs", "gf2", "gf3", "gf4", "gf5", "kh-klein4"]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("src, dst", list(itertools.product(SMALL, repeat=2)))
+def test_enumerate_homs_matches_brute_force(src, dst, strict):
+    r, s = builtin(src), builtin(dst)
+    assert enumerate_homs(r, s, strict) == _brute_force_homs(r, s, strict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(itertools.product(SMALL, repeat=2))),
+    st.booleans(),
+    st.data(),
+)
+def test_enumerate_homs_matches_brute_force_fixed(pair, strict, data):
+    r, s = builtin(pair[0]), builtin(pair[1])
+    keys = st.integers(min_value=0, max_value=r.n - 1)
+    fixed = data.draw(st.dictionaries(keys, st.integers(-1, s.n), max_size=3))
+    assert enumerate_homs(r, s, strict, fixed) == _brute_force_homs(
+        r, s, strict, fixed
+    )
+
+
+def test_enumerate_homs_khef_to_kh():
+    r, s = builtin("khef-klein4"), builtin("kh-klein4")
+    homs = enumerate_homs(r, s)
+    assert homs == _brute_force_homs(r, s)
+    assert len(homs) == 2
+    units = {h: h for h in r.units}
+    assert enumerate_homs(r, s, fixed=units) == _brute_force_homs(r, s, fixed=units)
 
 
 def test_strict_vs_nonstrict_hom():

@@ -289,3 +289,16 @@ def test_underlying_matroid_is_support():
     k = hyper.krasner()
     phi = matroid.GPFunction(4, 2, (1, 0, 1, 1, 0, 1), k)
     assert matroid.underlying_matroid(phi) == ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_RULE_COEFFS))
+def test_rank_0_relations_hold_vacuously(name):
+    c = SIGN_RULE_COEFFS[name]()
+    for n in (0, 1, 3):
+        for u in c.units:
+            assert matroid.verify_gp(matroid.GPFunction(n, 0, (u,), c)).passed
+        assert [phi.values for phi in matroid.enumerate_gp(c, n, 0)] == [
+            (u,) for u in c.units
+        ]
+        normalized = matroid.enumerate_gp(c, n, 0, normalize=True)
+        assert [phi.values for phi in normalized] == [(1,)]
