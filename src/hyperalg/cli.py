@@ -124,12 +124,14 @@ def cmd_morphisms(args) -> int:
             print(f"  {dict(t.map)}")
     else:  # fuzzy-strong
         homs = fuzzy.enumerate_unit_homs(src, dst)
-        accepted = []
-        for h in homs:
-            res = functors.strong_extension_search(src, dst, dict(h))
-            if res.verdict == "extends":
-                accepted.append(h)
-        print(f"{len(accepted)} strong morphisms (of {len(homs)} unit maps)")
+        verdicts = [
+            functors.strong_extension_search(src, dst, dict(h)).verdict for h in homs
+        ]
+        accepted = verdicts.count("extends")
+        print(f"{accepted} strong morphisms (of {len(homs)} unit maps)")
+        undecided = verdicts.count("unknown")
+        if undecided:
+            print(f"{undecided} unit maps undecided: the search ran out of budget")
     return EXIT_OK
 
 

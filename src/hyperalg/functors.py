@@ -77,7 +77,9 @@ def F_mor(f, fr, fs) -> MorphismTable:
     """Elementwise image map F(f): A -> f(A), verified strong; the source
     and target may be given as hyperrings or as their powerset rings."""
     if isinstance(fr, FiniteHyperring):
-        fr = F_obj(fr)
+        base, fr = fr, F_obj(fr)
+        if fs is base:  # an endomorphism: F of the ring is built once
+            fs = fr
     if isinstance(fs, FiniteHyperring):
         fs = F_obj(fs)
     f = tuple(f)
@@ -242,6 +244,64 @@ def _unit_orbits(k: FiniteFuzzyRing) -> list[list[int]]:
     return orbits
 
 
+class _GrowingClosure:
+    """The pairs (s, t) that sums of generators (x, y) reach in K x L from
+    (0, 0), as in `fuzzy._null_closure`, grown a generator at a time and
+    undone a level at a time.
+
+    A closure over a subset of the generators of a complete candidate
+    reaches a subset of its pairs, so a pair (null in K, non-null in L)
+    found here refutes every completion.
+    """
+
+    def __init__(self, k: FiniteFuzzyRing, l: FiniteFuzzyRing):
+        self.kadd, self.ladd, self.width = k.add, l.add, l.n
+        self.knull = [k.is_null(s) for s in range(k.n)]
+        self.lnull = [l.is_null(t) for t in range(l.n)]
+        self.seen = bytearray(k.n * l.n)  # pair (s, t) at s * width + t
+        self.seen[0] = 1
+        self.pairs = [(0, 0)]  # in insertion order, so a level is a suffix
+        self.gens: list[tuple[int, int]] = []
+        self.levels: list[tuple[int, int]] = []
+
+    def level(self, gens) -> bool:
+        """Open a level and add `gens`; False at the first violating pair,
+        with the level still open."""
+        self.levels.append((len(self.pairs), len(self.gens)))
+        return all(self._add(x, y) for x, y in gens)
+
+    def undo(self) -> None:
+        n_pairs, n_gens = self.levels.pop()
+        for s, t in self.pairs[n_pairs:]:
+            self.seen[s * self.width + t] = 0
+        del self.pairs[n_pairs:]
+        del self.gens[n_gens:]
+
+    def _add(self, x: int, y: int) -> bool:
+        kadd, ladd, knull, lnull = self.kadd, self.ladd, self.knull, self.lnull
+        seen, pairs, gens, width = self.seen, self.pairs, self.gens, self.width
+        if seen[x * width + y]:
+            return True  # sums of generators form a monoid: nothing new
+        gens.append((x, y))
+        # the pairs so far are closed under the other generators and get
+        # only (x, y); a new pair gets every generator
+        old = len(pairs)
+        i = 0
+        while i < len(pairs):
+            s, t = pairs[i]
+            krow, lrow = kadd[s], ladd[t]
+            for gx, gy in gens if i >= old else ((x, y),):
+                s2, t2 = krow[gx], lrow[gy]
+                code = s2 * width + t2
+                if not seen[code]:
+                    seen[code] = 1
+                    pairs.append((s2, t2))
+                    if knull[s2] and not lnull[t2]:
+                        return False
+            i += 1
+        return True
+
+
 def strong_extension_search(
     k: FiniteFuzzyRing,
     l: FiniteFuzzyRing,
@@ -251,10 +311,14 @@ def strong_extension_search(
     """Does an accepted weak morphism extend to a strong morphism K -> L?
 
     The multiplicativity condition forces g on unit multiples, so candidates
-    are enumerated per unit-orbit, subject to stabilizer consistency and
-    preservation of nullity; complete candidates are verified by the closure
-    decision.  Exhausting the space refutes; exhausting the budget is
-    reported as unknown.
+    are enumerated per unit-orbit, subject to stabilizer consistency.  The
+    pair closure of the generators (a*b, g(a)*g(b)) over the assigned
+    elements prunes at its first (null, non-null) pair.  Each orbit adds
+    only rep * b for every assigned b: the products of the other members
+    are unit multiples of these, and a subset of the generators still
+    prunes soundly.  Complete candidates are verified by
+    `check_strong_morphism`.  Exhausting the space refutes; exhausting the
+    budget is reported as unknown.
     """
     cert = check_weak_morphism(k, l, unit_map)
     if not cert.accepted:
@@ -283,36 +347,28 @@ def strong_extension_search(
 
     cand = {o[0]: candidates(o[0]) for o in orbits}
     orbits.sort(key=lambda o: len(cand[o[0]]))
-    # pairwise null sums used for pruning partial assignments
-    null_pairs = [
-        (a, b)
-        for a in range(k.n)
-        for b in range(a, k.n)
-        if k.is_null(k.add[a][b]) and not (k.is_null(a) or k.is_null(b))
-    ]
 
-    def assign_orbit(rep: int, val: int) -> list[tuple[int, int]]:
-        updates = []
+    def assign_orbit(rep: int, val: int) -> list[int] | None:
+        """Set g on the orbit of rep; its elements, or None on a conflict."""
+        new = []
         for u in k.units:
             x = k.mul[u][rep]
             y = l.mul[unit_map[u]][val]
             if g[x] is None:
                 g[x] = y
-                updates.append((x, y))
+                new.append(x)
             elif g[x] != y:
-                for z, _ in updates:
+                for z in new:
                     g[z] = None
-                return []
-        return updates or [(-1, -1)]  # sentinel: nothing new but consistent
+                return None
+        return new
 
+    closure = _GrowingClosure(k, l)
+    # the unit pairs (u, g(u)) are the weak closure's generators, which
+    # were just accepted, so this base level holds
+    closure.level((u, unit_map[u]) for u in k.units)
+    assigned = list(k.units)  # nonzero elements with g set; 0 adds (0, 0)
     state = {"nodes": 0, "checks": 0, "exhausted": False}
-
-    def consistent() -> bool:
-        for a, b in null_pairs:
-            ga, gb = g[a], g[b]
-            if ga is not None and gb is not None and not l.is_null(l.add[ga][gb]):
-                return False
-        return True
 
     def dfs(i: int) -> tuple[int, ...] | None:
         if state["nodes"] >= cfg.budget or state["checks"] >= cfg.full_check_limit:
@@ -330,16 +386,19 @@ def strong_extension_search(
             if state["nodes"] >= cfg.budget:
                 state["exhausted"] = True
                 return None
-            updates = assign_orbit(rep, val)
-            if not updates:
+            new = assign_orbit(rep, val)
+            if new is None:
                 continue
-            if consistent():
+            assigned.extend(new)
+            krow, lrow = k.mul[rep], l.mul[val]
+            if closure.level((krow[b], lrow[g[b]]) for b in assigned):
                 found = dfs(i + 1)
                 if found is not None:
                     return found
-            for x, _ in updates:
-                if x >= 0:
-                    g[x] = None
+            closure.undo()
+            del assigned[len(assigned) - len(new) :]
+            for x in new:
+                g[x] = None
             if state["exhausted"]:
                 return None
         return None

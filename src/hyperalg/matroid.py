@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .core import CarrierTooLarge
 from .fuzzy import FiniteFuzzyRing
 from .functors import PowersetFuzzyRing, g_carrier
 from .hyper import AxiomReport, FiniteHyperring, _report
@@ -78,6 +79,10 @@ class GPFunction:
         return tuple(c for c, v in zip(combos, self.values) if v != 0)
 
 
+# exchange relations compiled per (n, r); enumeration reaches 225, at (6, 3)
+MAX_GP_RELATIONS = 20_000
+
+
 @functools.cache
 def _gp_plan(n: int, r: int) -> tuple:
     """The exchange relations of rank r over range(n), compiled once: for
@@ -86,9 +91,17 @@ def _gp_plan(n: int, r: int) -> tuple:
     (parity k, slot of x without k, its parity, slot of (x_k, *y), its
     parity), slot -1 standing for a repeated entry.  Terms that are zero
     whatever the values are kept, so the sums are value()'s exactly.
-    Rank 0 has no (r-1)-tuples, hence no relations: they hold vacuously."""
+    Rank 0 has no (r-1)-tuples, hence no relations: they hold vacuously.
+    Raises CarrierTooLarge, before building anything, over
+    MAX_GP_RELATIONS relations."""
     if r == 0:
         return ()
+    relations = math.comb(n, r + 1) * math.comb(n, r - 1)
+    if relations > MAX_GP_RELATIONS:
+        raise CarrierTooLarge(
+            f"rank {r} on {n} elements has {relations} exchange relations,"
+            f" over {MAX_GP_RELATIONS}"
+        )
     slots = _slot_index(n, r)
     plan = []
     for x in itertools.combinations(range(n), r + 1):

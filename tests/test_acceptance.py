@@ -3,11 +3,14 @@
 Criterion 5 shows that F is not full on hyperrings.  For H = C5 the
 identity on H is an accepted weak morphism F(K[H] u {e,f}) -> F(K[H]) (the
 closure decision and the enumeration oracle agree), yet no hyperring hom
-K[H] u {e,f} -> K[H] restricts to it.  For |H| = 4 (the Klein four-group
-and C4 alike) the same map is rejected: the sum 1+u+v+w of the four units
-is null in the source and {1,u,v,w} in the target.  The criterion asserts
-that rejection from both sources and the hand computation behind it, as
-README.md sets out.
+K[H] u {e,f} -> K[H] restricts to it.  The strong-extension search decides
+whether the map extends to a strong morphism; an extension is checked by
+the strong closure decision, by enumerating sums of at most two generators,
+and by its image of a singleton, which no F(h) sends to a non-singleton.
+For |H| = 4 (the Klein four-group and C4 alike) the same map is rejected:
+the sum 1+u+v+w of the four units is null in the source and {1,u,v,w} in
+the target.  The criterion asserts that rejection from both sources and the
+hand computation behind it, as README.md sets out.
 """
 
 import itertools
@@ -139,6 +142,21 @@ def _four_unit_rejection(group, target: str) -> tuple[dict[str, bool], str]:
     return claims, named
 
 
+def _short_violating_sum(k, l, g):
+    """By enumeration: a sum of one or two generator pairs (ab, g(a)g(b))
+    that is null in K and not null in L, or None."""
+    gens = sorted(
+        {(k.mul[a][b], l.mul[g[a]][g[b]]) for a in range(k.n) for b in range(a, k.n)}
+    )
+    for i, (x1, y1) in enumerate(gens):
+        if k.is_null(x1) and not l.is_null(y1):
+            return ((x1, y1),)
+        for x2, y2 in gens[i:]:
+            if k.is_null(k.add[x1][x2]) and not l.is_null(l.add[y1][y2]):
+                return ((x1, y1), (x2, y2))
+    return None
+
+
 def test_acceptance_5_non_fullness():
     # |H| = 5: identity on units is an accepted weak morphism
     # F(K[C5] u {e,f}) -> F(K[C5]), but no hyperring hom restricts to it
@@ -159,6 +177,26 @@ def test_acceptance_5_non_fullness():
         and res.nodes <= cfg.budget
         and res.full_checks <= cfg.full_check_limit,
     }
+    # with the default budget the search decides; an extension is certified
+    # three ways, which makes F not full for strong morphisms as well
+    strong = functors.strong_extension_search(fa.fuzzy, fb.fuzzy, unit_map)
+    claims["khef-c5 -> kh-c5: default search decides"] = strong.verdict in (
+        "extends",
+        "refuted",
+    )
+    if strong.verdict == "extends":
+        g = strong.witness
+        cert = fuzzy.check_strong_morphism(fa.fuzzy, fb.fuzzy, g)
+        claims["khef-c5 -> kh-c5: strong closure accepts the extension"] = (
+            cert.accepted
+        )
+        claims["khef-c5 -> kh-c5: no sum of <= 2 generators violates it"] = (
+            _short_violating_sum(fa.fuzzy, fb.fuzzy, g) is None
+        )
+        sizes = [fb.masks[g[fa.embed[x]]].bit_count() for x in range(khef5.n)]
+        claims["khef-c5 -> kh-c5: it sends a singleton to a non-singleton"] = (
+            sizes != [1] * khef5.n
+        )
 
     # |H| = 4: the map is rejected, for the Klein four-group and C4 alike
     khef4, kh4 = hyper.builtin("khef-klein4"), hyper.builtin("kh-klein4")
@@ -174,7 +212,8 @@ def test_acceptance_5_non_fullness():
         5,
         not failed,
         f"|H|=5: identity on units weak-accepted: {cert5.accepted},"
-        f" homs restricting to it: {len(homs5)}, search {res.verdict};"
+        f" homs restricting to it: {len(homs5)}, search {res.verdict},"
+        f" default search {strong.verdict};"
         f" |H|=4: closure rejects 1+u+v+w, V4 {v4_pair}, C4 {c4_pair};"
         f" V4 identity-restricting homs: {ident4} of {len(homs4)}"
         + (f"; failed: {failed}" if failed else ""),

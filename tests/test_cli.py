@@ -1,10 +1,11 @@
 """End-to-end command-line tests via main(argv)."""
 
 import json
+import signal
 
 import pytest
 
-from hyperalg import ddhyper, fuzzy, hyper, io, matroid, ordgrp
+from hyperalg import ddhyper, functors, fuzzy, hyper, io, matroid, ordgrp
 from hyperalg.cli import main
 
 
@@ -146,6 +147,28 @@ def test_morphisms_fuzzy_strong(capsys):
     assert "strong morphisms" in capsys.readouterr().out
 
 
+def test_morphisms_fuzzy_strong_all_decided(capsys):
+    argv = ["morphisms", "signfuzzy", "signfuzzy", "--kind", "fuzzy-strong"]
+    assert main(argv) == 0
+    # the identity extends; -1 -> 1 is not weak (1 + (-1) is null, 1 + 1 not)
+    assert capsys.readouterr().out == "1 strong morphisms (of 2 unit maps)\n"
+
+
+def test_morphisms_fuzzy_strong_reports_undecided(monkeypatch, capsys):
+    # an exhausted budget is not "not strong": the count says so
+    monkeypatch.setattr(
+        functors,
+        "strong_extension_search",
+        lambda k, l, unit_map: functors.ExtensionSearchResult("unknown"),
+    )
+    argv = ["morphisms", "signfuzzy", "signfuzzy", "--kind", "fuzzy-strong"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "0 strong morphisms (of 2 unit maps)\n"
+        "2 unit maps undecided: the search ran out of budget\n"
+    )
+
+
 def test_matroids_with_oracle(capsys):
     assert main(["matroids", "--coeff", "krasner", "-n", "4", "-r", "2", "--oracle"]) == 0
     out = capsys.readouterr().out
@@ -204,6 +227,29 @@ def test_rank_0_gp_checks(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2 Grassmann-Pluecker functions" in out
     assert "oracle agreement: pass" in out
+
+
+def test_oversized_gp_plan_exits_2(tmp_path, capsys):
+    # n = 12, r = 6 has 792 * 792 exchange relations (4.4 M terms): refused
+    # from the sizes before any relation is built
+    p = tmp_path / "gp12.json"
+    io.save_structure(matroid.GPFunction(12, 6, (1,) * 924, hyper.signs()), p)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the plan size was not refused at once")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        assert main(["check", str(p)]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: rank 6 on 12 elements has 627264 exchange relations, over 20000\n"
+    )
 
 
 def test_usage_error_exits_2():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from hyperalg import ddhyper, functors, fuzzy, hyper, matroid
+from hyperalg.core import CarrierTooLarge
 
 
 SIGN_RULE_COEFFS = {
@@ -302,3 +303,16 @@ def test_rank_0_relations_hold_vacuously(name):
         ]
         normalized = matroid.enumerate_gp(c, n, 0, normalize=True)
         assert [phi.values for phi in normalized] == [(1,)]
+
+
+def test_gp_plan_size_bound():
+    # every enumerable size is admitted: (6, 3) has 15 * 15 relations
+    assert len(matroid._gp_plan(6, 3)) == 225 <= matroid.MAX_GP_RELATIONS
+    cached = matroid._gp_plan.cache_info().currsize
+    # (12, 6) is refused from the sizes alone, and nothing is cached
+    with pytest.raises(CarrierTooLarge, match="627264 exchange relations"):
+        matroid._gp_plan(12, 6)
+    assert matroid._gp_plan.cache_info().currsize == cached
+    phi = matroid.GPFunction(12, 6, (1,) * math.comb(12, 6), hyper.signs())
+    with pytest.raises(CarrierTooLarge):
+        matroid.verify_gp(phi)
