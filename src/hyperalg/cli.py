@@ -7,20 +7,30 @@ Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
 from . import ddhyper, fuzzy, functors, hyper, io, matroid, ordgrp
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# violations printed per report; the rest are counted on one line
+SHOWN_VIOLATIONS = 10
 
 
 def _load(arg: str, kind: str | None = None):
-    """A path to a structure file, or the name of a builtin."""
-    if arg in hyper.BUILTIN_HYPERRINGS and kind in (None, "hyperring"):
-        return hyper.builtin(arg)
-    if arg in fuzzy.BUILTIN_FUZZY and kind in (None, "fuzzyring"):
-        return fuzzy.builtin_fuzzy(arg)
+    """A path to a structure file, or the name of a builtin.  A builtin of
+    another kind than `kind` is refused like a file of another kind."""
+    for builtin_kind, names, make in (
+        ("hyperring", hyper.BUILTIN_HYPERRINGS, hyper.builtin),
+        ("fuzzyring", fuzzy.BUILTIN_FUZZY, fuzzy.builtin_fuzzy),
+    ):
+        if arg in names:
+            if kind not in (None, builtin_kind):
+                raise io.StructureError(
+                    f"expected kind {kind}, found {builtin_kind} {arg!r}"
+                )
+            return make(arg)
     return io.load_structure(arg, kind)
 
 
@@ -29,8 +39,11 @@ def _print_report(label: str, rep) -> bool:
         print(f"{label}: pass")
         return True
     print(f"{label}: FAIL")
-    for axiom, witness in rep.violations[:10]:
+    for axiom, witness in rep.violations[:SHOWN_VIOLATIONS]:
         print(f"  violated {axiom} at {witness}")
+    hidden = len(rep.violations) - SHOWN_VIOLATIONS
+    if hidden > 0:
+        print(f"  ... and {hidden} more violations")
     return False
 
 
@@ -111,7 +124,8 @@ def _group(name: str):
 
 
 def cmd_morphisms(args) -> int:
-    src, dst = _load(args.src), _load(args.dst)
+    kind = "hyperring" if args.kind == "hyperring" else "fuzzyring"
+    src, dst = _load(args.src, kind), _load(args.dst, kind)
     if args.kind == "hyperring":
         homs = hyper.enumerate_homs(src, dst, strict=args.strict)
         print(f"{len(homs)} homomorphisms")
@@ -151,7 +165,8 @@ def cmd_matroids(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    a, b = _load(args.a), _load(args.b)
+    kind = "hyperring" if args.kind == "hyperring" else "fuzzyring"
+    a, b = _load(args.a, kind), _load(args.b, kind)
     if args.kind == "hyperring":
         witness = hyper.iso_hyper(a, b)
     else:
@@ -194,7 +209,10 @@ def cmd_ordgrp_demo(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: main() parses
+    each argv with it, and every parse starts from a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="hyperalg",
         description="Finite hyperrings, fuzzy rings, and their functors.",

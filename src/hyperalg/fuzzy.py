@@ -83,22 +83,24 @@ def make_fuzzy_ring(add, mul, k0, epsilon=None, name: str = "") -> FiniteFuzzyRi
 # axiom verification
 #
 # FR0-FR5 are vectorized table comparisons.  FR6 and FR7 quantify over
-# quadruples; with N(s) = {x : s + x in K0}, row s of nul[add], each becomes an
-# inclusion between null sets:
+# quadruples; with N(s) = {x : s + x in K0}, row s of nul[add], they are read
+# through null sets:
 #   FR6  a+b, c+d null => ac + eps*bd null  is  eps*b*N(c) <= N(ac)
-#        for every null pair (a, b) and every c;
+#        for every null pair (a, b) and every c.  This only unfolds the
+#        definitions, so it is tested on every ring.
 #   FR7  a + b(c+d) null => a + bc + bd null  is  N(b(c+d)) <= N(bc + bd)
 #        for all b, c, d, given that addition is associative,
 #        (a + bc) + bd = a + (bc + bd), and commutative, a + s = s + a.
-# The inclusions are tested when the FR0 additive laws hold on the whole
-# carrier; otherwise the quadruple sweep `_fr67_sweep` runs.  Either way the
-# witness is the sweep's first failing quadruple.
+#        The inclusions are tested when the FR0 additive laws hold on the
+#        whole carrier; otherwise a sweep over (a, b) slices of the
+#        quadruples stops at the first slice that fails.
+# Either way the witness is the first failing quadruple in row-major order.
 #
 # Every quantifier ranges over a domain D of carrier indices: the whole
 # carrier, or a window of a tabulated infinite ring (ordgrp).  Products of
 # elements of D stay in the carrier, so FR6 reads N(ac) over the carrier and
-# FR7 reads N_D(s) = N(s) & D; bc and bd may leave D, hence the additive laws
-# on the whole carrier.
+# N_D(c) = N(c) & D; bc and bd may leave D, hence FR7's additive laws on the
+# whole carrier.
 
 
 def _on(t, dom):
@@ -121,9 +123,10 @@ def _assoc_witness(t: np.ndarray, dom: np.ndarray) -> tuple[int, int, int] | Non
     t_dom = _on(t, dom)
     cols = t if t_dom is t else t.take(dom, axis=1)  # C order: rows are gathered
     for i, a in enumerate(dom):
-        bad = np.argwhere(cols[t_dom[i]] != t[a][t_dom])
-        if bad.size:
-            return int(a), int(dom[bad[0][0]]), int(dom[bad[0][1]])
+        bad = cols[t_dom[i]] != t[a][t_dom]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            return int(a), int(dom[b]), int(dom[c])
     return None
 
 
@@ -179,43 +182,12 @@ def _fuzzy_violations(k: FiniteFuzzyRing, dom: np.ndarray) -> list[Violation]:
         additive = not any(label.startswith("FR0-add") for label, _ in v)
     else:
         additive = (add == add.T).all() and _assoc_witness(add, np.arange(k.n)) is None
+    null_of = nul[add]  # row s is N(s)
+    v += _fr6_inclusions(null_of, mul, k.epsilon, dom)
     if additive:
-        null_of = nul[add]  # row s is N(s)
-        v += _fr6_inclusions(null_of, mul, k.epsilon, dom)
         v += _fr7_inclusions(null_of, add, mul, dom)
     else:
-        v += _fr67_sweep(add, mul, nul, k.epsilon, dom)
-    return v
-
-
-def _fr67_sweep(add, mul, nul, epsilon, dom=None) -> list[Violation]:
-    """FR6 and FR7 over quadruples from dom (default all); first witnesses."""
-    v: list[Violation] = []
-    dom = np.arange(len(add)) if dom is None else dom
-    add_dom, mul_dom = _on(add, dom), _on(mul, dom)
-    # FR6: (a+b), (c+d) null  =>  ac + eps*bd null
-    emul = mul[epsilon][mul_dom]  # emul[b,d] = eps*(b*d)
-    pairs = np.argwhere(nul[add_dom])
-    if pairs.size:
-        pa, pb = pairs[:, 0], pairs[:, 1]
-        chunk = max(1, 2_000_000 // max(1, len(pairs)))
-        for i in range(0, len(pairs), chunk):
-            a, b = pa[i : i + chunk], pb[i : i + chunk]
-            vals = add[mul_dom[a[:, None], pa[None, :]], emul[b[:, None], pb[None, :]]]
-            bad = np.argwhere(~nul[vals])
-            if bad.size:
-                r, c = bad[0]
-                v.append(("FR6", tuple(dom[[a[r], b[r], pa[c], pb[c]]].tolist())))
-                break
-    # FR7: a + b(c+d) null  =>  a + bc + bd null
-    p3 = mul[dom][:, add_dom]  # p3[b,c,d] = b*(c+d)
-    for a in dom:
-        lhs_null = nul[add[a][p3]]
-        rhs = add[add[a, mul_dom][:, :, None], mul_dom[:, None, :]]
-        bad = np.argwhere(lhs_null & ~nul[rhs])
-        if bad.size:
-            v.append(("FR7", (int(a), *(int(dom[x]) for x in bad[0]))))
-            break
+        v += _fr7_slices(null_of, add, mul, dom, dom)
     return v
 
 
@@ -227,8 +199,14 @@ def _packed(rows):
     return out.view(np.uint64)
 
 
+# bit-set cells compared per FR6 chunk at most; chunks of null pairs start at
+# one and double, so a witness among the first pairs costs no full chunk
+FR6_CHUNK_CELLS = 2_000_000
+
+
 def _fr6_inclusions(null_of, mul, epsilon, dom) -> list[Violation]:
-    """FR6 as eps*b*N_D(c) <= N(ac) over null pairs (a, b) and all c in dom."""
+    """FR6 as eps*b*N_D(c) <= N(ac) over null pairs (a, b) and all c in dom,
+    in the quadruple sweep's order: pairs (a, b), then c, then d."""
     null_dom = _on(null_of, dom)
     pairs = np.argwhere(null_dom)
     if not pairs.size:
@@ -237,14 +215,17 @@ def _fr6_inclusions(null_of, mul, epsilon, dom) -> list[Violation]:
     mul_dom = _on(mul, dom)
     emul = mul[epsilon][mul_dom]  # emul[b,d] = eps*(b*d)
     null_bits = _packed(null_of)
+    # image[b, c] = eps*b*N_D(c), built for the b of each chunk when first met
     image = np.empty(null_dom.shape + null_bits.shape[1:], dtype=np.uint64)
-    for b in range(len(dom)):  # image[b, c] = eps*b*N_D(c): the pairs are (c, d)
-        sets = np.zeros((len(dom), len(mul)), dtype=bool)
-        sets[pa, emul[b, pb]] = True
-        image[b] = _packed(sets)
-    chunk = max(1, 2_000_000 // image[0].size)
-    for i in range(0, len(pairs), chunk):
+    built = np.zeros(len(dom), dtype=bool)
+    i, chunk, cap = 0, 1, max(1, FR6_CHUNK_CELLS // image[0].size)
+    while i < len(pairs):
         a, b = pa[i : i + chunk], pb[i : i + chunk]
+        for e in np.unique(b[~built[b]]):
+            sets = np.zeros((len(dom), len(mul)), dtype=bool)
+            sets[pa, emul[e, pb]] = True  # the pairs are (c, d)
+            image[e] = _packed(sets)
+        built[b] = True
         bad = (image[b] & ~null_bits[mul_dom[a]]).any(axis=2)  # bad[pair, c]
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:
@@ -253,6 +234,7 @@ def _fr6_inclusions(null_of, mul, epsilon, dom) -> list[Violation]:
             c = np.flatnonzero(bad[r])[0]
             d = np.flatnonzero(null_dom[c] & ~null_of[mul_dom[a, c], emul[b]])[0]
             return [("FR6", tuple(int(dom[x]) for x in (a, b, c, d)))]
+        i, chunk = i + chunk, min(2 * chunk, cap)
     return []
 
 
@@ -272,18 +254,29 @@ def _fr7_inclusions(null_of, add, mul, dom) -> list[Violation]:
     bad = diff.any(axis=1)
     if not bad.any():
         return []
-    # the first a in some N_D(p) \ N_D(q); then the sweep's first (b, c, d)
+    # the first a in some N_D(p) \ N_D(q) is the first a of a failing
+    # quadruple; the slices of that a give its first (b, c, d)
     union = np.unpackbits(np.bitwise_or.reduce(diff[bad]).view(np.uint8))
-    a = dom[np.flatnonzero(union)[0]]
-    for b in dom:
-        mb = mul[b, dom]
-        lhs_null = null_of[a, mul[b][add_dom]]
-        rhs_null = null_of[add[a, mb][:, None], mb[None, :]]
-        where = np.argwhere(lhs_null & ~rhs_null)
-        if where.size:
-            c, d = where[0]
-            return [("FR7", (int(a), int(b), int(dom[c]), int(dom[d])))]
-    raise AssertionError("FR7 inclusion failed but no quadruple does")
+    v = _fr7_slices(null_of, add, mul, dom, dom[np.flatnonzero(union)[:1]])
+    if not v:
+        raise AssertionError("FR7 inclusion failed but no quadruple does")
+    return v
+
+
+def _fr7_slices(null_of, add, mul, dom, firsts) -> list[Violation]:
+    """The first FR7 quadruple (a, b, c, d) in row-major order with a from
+    firsts and b, c, d from dom, one (a, b) slice of (c, d) cells at a time."""
+    add_dom = _on(add, dom)
+    for a in firsts:
+        for b in dom:
+            mb = mul[b, dom]
+            lhs_null = null_of[a][mul[b][add_dom]]  # a + b(c+d)
+            rhs_null = null_of[add[a, mb]][:, mb]  # (a+bc) + bd
+            bad = lhs_null & ~rhs_null
+            if bad.any():
+                c, d = np.argwhere(bad)[0]
+                return [("FR7", (int(a), int(b), int(dom[c]), int(dom[d])))]
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -42,17 +42,24 @@ def _is_index(x, n: int) -> bool:
 
 
 def _is_index_array(xs, n: int) -> bool:
-    return isinstance(xs, list) and all(_is_index(x, n) for x in xs)
+    # the cell types as one set (a JSON bool is not an int here), then the
+    # bounds of the whole array
+    return isinstance(xs, list) and (
+        not xs or ({*map(type, xs)} == {int} and min(xs) >= 0 and max(xs) < n)
+    )
 
 
-def _require_table(t, n: int, what: str, cell=_is_index) -> None:
-    """`t` must be an n x n array of arrays whose cells pass cell(x, n)."""
+def _are_index_arrays(xss, n: int) -> bool:
+    return all(_is_index_array(xs, n) for xs in xss)
+
+
+def _require_table(t, n: int, what: str, row_ok=_is_index_array) -> None:
+    """`t` must be an n x n array of arrays whose rows pass row_ok(row, n)."""
     _require(
         isinstance(t, list)
         and len(t) == n
         and all(
-            isinstance(row, list) and len(row) == n and all(cell(x, n) for x in row)
-            for row in t
+            isinstance(row, list) and len(row) == n and row_ok(row, n) for row in t
         ),
         f"{what} must be an n x n table of indices",
     )
@@ -157,7 +164,7 @@ def hyperring_from_dict(d: dict) -> FiniteHyperring:
     n = d.get("size")
     _require(isinstance(n, int) and n >= 2, "size must be an integer >= 2")
     add, mul = d.get("add"), d.get("mul")
-    _require_table(add, n, "add", cell=_is_index_array)
+    _require_table(add, n, "add", row_ok=_are_index_arrays)
     _require_table(mul, n, "mul")
     masks = [[mask_of(cell) for cell in row] for row in add]
     try:

@@ -6,7 +6,7 @@ import signal
 import pytest
 
 from hyperalg import ddhyper, functors, fuzzy, hyper, io, matroid, ordgrp
-from hyperalg.cli import main
+from hyperalg.cli import _print_report, build_parser, main
 
 
 def test_check_builtin_hyperring(capsys):
@@ -81,6 +81,36 @@ def test_malformed_structure_exits_2(kind, path, value, tmp_path, capsys):
     p.write_text(json.dumps(d))
     assert main(["check", str(p)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _bad_cell(n):
+    """Values that are no index of an n-element carrier."""
+    return {"bool": True, "negative": -1, "n": n, "float": 1.0, "nested": [1]}
+
+
+@pytest.mark.parametrize("kind", ["fuzzyring", "demifield"])
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize(
+    "defect", ["bool", "negative", "n", "float", "nested", "short", "empty"]
+)
+def test_malformed_index_table_exits_2(kind, table, defect, tmp_path, capsys):
+    valid = {"fuzzyring": fuzzy.sign_fuzzy(), "demifield": ddhyper.F1(hyper.signs())}
+    d = io.structure_to_dict(valid[kind])
+    rows = d[table]
+    if defect == "short":
+        rows[1].pop()
+    elif defect == "empty":
+        d[table] = []
+    else:
+        rows[1][len(rows) - 1] = _bad_cell(len(rows))[defect]
+    with pytest.raises(io.StructureError):
+        io.structure_from_dict(json.loads(json.dumps(d)))
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    assert main(["check", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {table} must be an n x n table of indices\n"
 
 
 def test_missing_file_exits_2(capsys):
@@ -256,3 +286,106 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["check"])  # missing path
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,found",
+    [
+        (["morphisms", "signs", "signfuzzy", "--kind", "fuzzy-weak"], "signs"),
+        (["morphisms", "signfuzzy", "signs", "--kind", "fuzzy-strong"], "signs"),
+        (["iso", "signfuzzy", "signs", "--kind", "fuzzy-weak"], "signs"),
+        (["morphisms", "signfuzzy", "signs"], "signfuzzy"),
+        (["iso", "signfuzzy", "signs"], "signfuzzy"),
+    ],
+)
+def test_structure_of_wrong_kind_exits_2(argv, found, capsys):
+    # each argument is loaded as the kind --kind implies, a builtin name too
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    expected, other = (
+        ("hyperring", "fuzzyring") if found == "signfuzzy" else ("fuzzyring", "hyperring")
+    )
+    assert err == f"error: expected kind {expected}, found {other} {found!r}\n"
+
+
+def test_wrong_kind_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "s.json"
+    io.save_structure(hyper.signs(), p)
+    assert main(["morphisms", str(p), "signfuzzy", "--kind", "fuzzy-weak"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: expected kind fuzzyring, found hyperring\n"
+
+
+def _run(argv, capsys):
+    """Exit code (or SystemExit code), stdout without the elapsed line, and
+    stderr of main(argv)."""
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = ("exit", e.code)
+    out, err = capsys.readouterr()
+    out = [line for line in out.splitlines() if not line.startswith("elapsed ")]
+    return rc, out, err
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    # a default set by one parse does not leak into the next
+    fresh = build_parser.__wrapped__
+    for argv in (
+        ["morphisms", "signs", "krasner", "--strict"],
+        ["morphisms", "signs", "krasner"],
+        ["check", "signs"],
+        ["construct", "quotient", "--in", "gf5", "--units", "1,4", "--out", "q.json"],
+        ["construct", "F", "--in", "krasner", "--out", "f.json"],
+    ):
+        assert vars(build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+
+
+def test_consecutive_calls_match_fresh_parsers(capsys):
+    calls = [
+        ["check", "signs"],
+        ["morphisms", "signs", "krasner"],
+        ["check"],  # usage error after good calls
+        ["iso", "krasner", "signs"],
+        ["morphisms"],
+        ["check", "signfuzzy"],
+    ]
+    reused = [_run(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+    build_parser.cache_clear()
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [0, 0, ("exit", 2), 1, ("exit", 2), 0]
+    assert "the following arguments are required: path" in reused[2][2]
+
+
+def test_report_names_hidden_violations(tmp_path, capsys):
+    # GF(13) as a fuzzy ring with 2 + 3 set to 0 in one direction: besides
+    # the FR0 laws, a unit u breaks FR2 at (2, 3) unless u*2 + u*3 is 0 too
+    k = fuzzy.ring_as_fuzzy(hyper.galois_field(13))
+    add = [list(row) for row in k.add]
+    add[2][3] = 0
+    p = tmp_path / "k.json"
+    io.save_structure(fuzzy.make_fuzzy_ring(add, k.mul, k.k0), p)
+    violations = fuzzy.check_fuzzy_axioms(io.load_structure(p)).violations
+    assert len(violations) > 10
+    assert main(["check", str(p)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fuzzy ring axioms: FAIL"
+    assert lines[1:11] == [f"  violated {a} at {w}" for a, w in violations[:10]]
+    assert lines[11] == f"  ... and {len(violations) - 10} more violations"
+    assert lines[12].startswith("elapsed ") and len(lines) == 13
+
+
+@pytest.mark.parametrize("count", [10, 11])
+def test_report_cut_after_10(count, capsys):
+    rep = hyper.AxiomReport(False, tuple(("law", (i,)) for i in range(count)))
+    assert not _print_report("laws", rep)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:11] == [f"  violated law at ({i},)" for i in range(10)]
+    assert lines[11:] == (["  ... and 1 more violations"] if count == 11 else [])

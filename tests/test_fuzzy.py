@@ -3,13 +3,14 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hyperalg.core import bits, mask_of
 from hyperalg.functors import F_obj
 from hyperalg.fuzzy import (
     BUILTIN_FUZZY,
-    _fr67_sweep,
+    _on,
     _tables,
     builtin_fuzzy,
     check_fuzzy_axioms,
@@ -26,6 +27,7 @@ from hyperalg.fuzzy import (
 )
 from hyperalg.hyper import (
     BUILTIN_HYPERRINGS,
+    Violation,
     builtin,
     field_hyperfield,
     galois_field,
@@ -106,6 +108,37 @@ def _small_corpus(max_carrier=6):
 SMALL_CORPUS = _small_corpus()
 
 
+def _fr67_sweep(add, mul, nul, epsilon, dom=None) -> list[Violation]:
+    """FR6 and FR7 over quadruples from dom (default all); first witnesses."""
+    v: list[Violation] = []
+    dom = np.arange(len(add)) if dom is None else dom
+    add_dom, mul_dom = _on(add, dom), _on(mul, dom)
+    # FR6: (a+b), (c+d) null  =>  ac + eps*bd null
+    emul = mul[epsilon][mul_dom]  # emul[b,d] = eps*(b*d)
+    pairs = np.argwhere(nul[add_dom])
+    if pairs.size:
+        pa, pb = pairs[:, 0], pairs[:, 1]
+        chunk = max(1, 2_000_000 // max(1, len(pairs)))
+        for i in range(0, len(pairs), chunk):
+            a, b = pa[i : i + chunk], pb[i : i + chunk]
+            vals = add[mul_dom[a[:, None], pa[None, :]], emul[b[:, None], pb[None, :]]]
+            bad = np.argwhere(~nul[vals])
+            if bad.size:
+                r, c = bad[0]
+                v.append(("FR6", tuple(dom[[a[r], b[r], pa[c], pb[c]]].tolist())))
+                break
+    # FR7: a + b(c+d) null  =>  a + bc + bd null
+    p3 = mul[dom][:, add_dom]  # p3[b,c,d] = b*(c+d)
+    for a in dom:
+        lhs_null = nul[add[a][p3]]
+        rhs = add[add[a, mul_dom][:, :, None], mul_dom[:, None, :]]
+        bad = np.argwhere(lhs_null & ~nul[rhs])
+        if bad.size:
+            v.append(("FR7", (int(a), *(int(dom[x]) for x in bad[0]))))
+            break
+    return v
+
+
 def _sweep_violations(k):
     """The violation list with FR6 and FR7 taken from the quadruple sweep."""
     rep = check_fuzzy_axioms(k)
@@ -129,13 +162,61 @@ def _with_entry(k, table, i, j, value):
     return replace(k, **{table: tuple(map(tuple, rows))})
 
 
+def _one_sided(k, rng, flip):
+    """Change one add entry i + j off rows 0 and 1 and column 0 (so epsilon,
+    read from row 1, stays determined) and leave its mirror j + i: addition
+    stops being commutative there.  The new entry is null exactly when the
+    old one was not (flip) or exactly when it was."""
+    i = rng.randrange(2, k.n)
+    j = rng.choice([x for x in range(1, k.n) if x != i])
+    old = k.add[i][j]
+    choices = [
+        x for x in range(k.n) if x != old and k.is_null(x) != (k.is_null(old) == flip)
+    ]
+    rows = [list(row) for row in k.add]
+    rows[i][j] = rng.choice(choices)
+    return replace(k, add=tuple(map(tuple, rows)))
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_CORPUS))
 def test_fr67_inclusions_match_sweep(name):
     k = F_obj(SMALL_CORPUS[name]).fuzzy
     rng = random.Random(name)
-    for copy in range(9):
-        kk = k if copy == 0 else _perturbed(k, rng)
+    copies = [k] + [_perturbed(k, rng) for _ in range(8)]
+    # non-additive copies: FR7 takes the sliced sweep; kh-c5 gives 63 elements
+    copies += [_one_sided(k, rng, flip) for flip in (True, False) for _ in range(2)]
+    for copy, kk in enumerate(copies):
         assert list(check_fuzzy_axioms(kk).violations) == _sweep_violations(kk), copy
+
+
+def test_one_sided_change_pinned():
+    # F(GF(5)): 31 elements, element i is the subset with mask i + 1, so K0
+    # is the even indices.  add[9][17] goes from 20 (null) to 1 (not null)
+    # and add[17][9] stays 20, the kind of change perfbench's refute inputs have.
+    k = F_obj(builtin("gf5")).fuzzy
+    assert k.add[9][17] == k.add[17][9] == 20 and not k.is_null(1)
+    rows = [list(row) for row in k.add]
+    rows[9][17] = 1
+    k = replace(k, add=tuple(map(tuple, rows)))
+    expected = [
+        ("FR0-add-commutative", (9, 17)),
+        ("FR0-add-associative", (1, 4, 17)),
+        ("FR2-unit-3", (9, 17)),
+        ("FR2-unit-7", (5, 11)),
+        ("FR2-unit-15", (9, 17)),
+        ("FR6", (1, 17, 9, 15)),
+        ("FR7", (0, 3, 23, 11)),
+    ]
+    assert list(check_fuzzy_axioms(k).violations) == expected
+    assert _sweep_violations(k) == expected
+    a, b, c, d = expected[5][1]
+    e = k.epsilon
+    assert k.is_null(k.add[a][b]) and k.is_null(k.add[c][d])
+    assert not k.is_null(k.add[k.mul[a][c]][k.mul[e][k.mul[b][d]]])
+    a, b, c, d = expected[6][1]
+    assert k.is_null(k.add[a][k.mul[b][k.add[c][d]]])
+    assert not k.is_null(k.add[k.add[a][k.mul[b][c]]][k.mul[b][d]])
+    assert _first_nonassociative(k.add) == expected[1][1]
 
 
 def test_fr6_failure_pinned():
