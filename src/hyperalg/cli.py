@@ -150,6 +150,10 @@ def cmd_morphisms(args) -> int:
 
 
 def cmd_matroids(args) -> int:
+    for flag, value in (("-n", args.n), ("-r", args.r)):
+        if value < 0:
+            print(f"error: {flag} must be non-negative, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     coeff = _load(args.coeff)
     enum = matroid.enumerate_gp(coeff, args.n, args.r, normalize=args.normalize)
     print(f"{len(enum)} Grassmann-Pluecker functions over {coeff.name or 'coeff'}")

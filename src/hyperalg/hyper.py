@@ -65,8 +65,25 @@ class FiniteHyperring:
     def minus_one(self) -> int:
         return self.neg[1]
 
+    @cached_property
+    def _fold_memo(self) -> dict[tuple[int, int], int]:
+        """(acc_mask, e) -> extend_hyperop(add, acc_mask, 1 << e), filled as
+        sums meet them: a dense 2^n x n table is out of reach at n = 64."""
+        return {}
+
     def hsum(self, elems) -> int:
-        return iterated_hypersum(self.add, list(elems))
+        """The left fold of core.iterated_hypersum, read through the memo."""
+        elems = list(elems)
+        if not elems:
+            raise ValueError("hsum needs at least one element")
+        acc, memo = 1 << elems[0], self._fold_memo
+        for e in elems[1:]:
+            try:
+                acc = memo[acc, e]
+            except KeyError:
+                nxt = memo[acc, e] = extend_hyperop(self.add, acc, 1 << e)
+                acc = nxt
+        return acc
 
     def sum_is_null(self, elems) -> bool:
         """Does 0 lie in the hypersum of `elems`?"""

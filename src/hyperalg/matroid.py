@@ -1,8 +1,12 @@
 """Grassmann-Pluecker functions with coefficients in a hyperfield or a fuzzy
 ring: the sign rule, one exchange-relation checker serving both coefficient
-kinds (each supplies its own "is this sum null?" predicate), brute-force
-enumeration up to unit scaling, pushforward along morphisms, the biconditional
-between the two definitions, and an independent basis-exchange oracle.
+kinds (each supplies its own "is this sum null?" predicate), enumeration up to
+unit scaling, pushforward along morphisms, the biconditional between the two
+definitions, and an independent basis-exchange oracle.
+
+Enumeration is a depth-first search over the slots in combinations order that
+decides each exchange relation as soon as its last slot is assigned and prunes
+at the first failing one; the loop over every assignment is the test oracle.
 """
 
 from __future__ import annotations
@@ -118,23 +122,35 @@ def _gp_plan(n: int, r: int) -> tuple:
     return tuple(plan)
 
 
+def _relation_test(c: FiniteHyperring | FiniteFuzzyRing):
+    """holds(signed, terms): is the alternating sum of products of one
+    compiled exchange relation null in c?  signed[parity][slot] is value()
+    on a tuple sorting to slot; each row ends in an extra 0, which slot -1
+    (a repeated entry) reads."""
+    mul = c.mul
+    neg = mul[c.minus_one]
+    is_null = c.sum_is_null
+
+    def holds(signed, terms) -> bool:
+        summands = []
+        for kp, ls, lp, rs, rp in terms:
+            t = mul[signed[lp][ls]][signed[rp][rs]]
+            summands.append(neg[t] if kp else t)
+        return is_null(summands)
+
+    return holds
+
+
 def _gp_violations(phi: GPFunction):
     """Yield ("GP3", (x, y)) for each exchange relation whose alternating
     sum of products is not null, in plan order."""
     c = phi.coefficient
-    mul = c.mul
-    neg = mul[c.minus_one]
-    # signed[parity][slot] is value() on a tuple sorting to slot
-    signed = (phi.values, tuple(neg[v] if v != 0 else v for v in phi.values))
-    is_null = c.sum_is_null
+    neg = c.mul[c.minus_one]
+    negated = [neg[v] if v != 0 else v for v in phi.values]
+    signed = ([*phi.values, 0], [*negated, 0])
+    holds = _relation_test(c)
     for witness, terms in _gp_plan(phi.ground_size, phi.rank):
-        summands = []
-        for kp, ls, lp, rs, rp in terms:
-            left = signed[lp][ls] if ls >= 0 else 0
-            right = signed[rp][rs] if rs >= 0 else 0
-            t = mul[left][right]
-            summands.append(neg[t] if kp else t)
-        if not is_null(summands):
+        if not holds(signed, terms):
             yield "GP3", witness
 
 
@@ -153,7 +169,18 @@ def verify_gp(phi: GPFunction) -> AxiomReport:
     return _report(list(_gp_violations(phi)))
 
 
-ENUM_SPACE_CAP = 2_000_000
+@functools.cache
+def _relations_by_last_slot(n: int, r: int) -> tuple[tuple[tuple, ...], ...]:
+    """The terms of each relation of _gp_plan(n, r), grouped by the largest
+    slot they read (every relation reads x without x_k, a valid slot)."""
+    groups: list[list[tuple]] = [[] for _ in range(math.comb(n, r))]
+    for _, terms in _gp_plan(n, r):
+        groups[max(s for t in terms for s in (t[1], t[3]))].append(terms)
+    return tuple(map(tuple, groups))
+
+
+# search nodes (one per value tried at a slot) enumerate_gp may visit
+ENUM_NODE_CAP = 2_000_000
 
 
 def enumerate_gp(
@@ -164,24 +191,49 @@ def enumerate_gp(
 ) -> list[GPFunction]:
     """All valid value assignments (unit or zero per slot, not all zero);
     with normalize, keep one representative per unit-scaling class (first
-    nonzero slot equal to 1)."""
+    nonzero slot equal to 1).
+
+    A depth-first search assigns the slots in combinations order, trying
+    0 and then each unit; once slot s is set, the relations whose last slot
+    is s are decided and the first failing one prunes the subtree.  The
+    list and its order are those of a loop over every assignment in
+    lexicographic order.  Raises ValueError after ENUM_NODE_CAP nodes."""
     if n > 6 or r > 3:
         raise ValueError("enumeration capped at n <= 6, r <= 3")
     slots = math.comb(n, r)
-    choices = [0, *f.units]
-    if len(choices) ** slots > ENUM_SPACE_CAP:
-        raise ValueError("enumeration space too large")
-    out = []
-    for values in itertools.product(choices, repeat=slots):
-        if all(v == 0 for v in values):
-            continue
-        if normalize:
-            first = next(v for v in values if v != 0)
-            if first != 1:
-                continue
-        phi = GPFunction(n, r, values, f)
-        if _gp_holds(phi):
-            out.append(phi)
+    choices = (0, *f.units)
+    # under normalize, the first nonzero slot can only be 1
+    leading = tuple(v for v in choices if v in (0, 1)) if normalize else choices
+    by_slot = _relations_by_last_slot(n, r)
+    holds = _relation_test(f)
+    neg = f.mul[f.minus_one]
+    signed = ([0] * (slots + 1), [0] * (slots + 1))
+    values, negated = signed
+    out: list[GPFunction] = []
+    nodes = 0
+
+    def extend(s: int, nonzero: bool) -> None:
+        nonlocal nodes
+        if s == slots:
+            if nonzero:
+                out.append(GPFunction(n, r, tuple(values[:slots]), f))
+            return
+        for v in choices if nonzero else leading:
+            nodes += 1
+            if nodes > ENUM_NODE_CAP:
+                raise ValueError(
+                    f"enumeration of rank {r} on {n} elements passed the"
+                    f" search node cap ENUM_NODE_CAP = {ENUM_NODE_CAP}"
+                )
+            values[s] = v
+            negated[s] = neg[v] if v != 0 else v
+            for terms in by_slot[s]:
+                if not holds(signed, terms):
+                    break
+            else:
+                extend(s + 1, nonzero or v != 0)
+
+    extend(0, False)
     return out
 
 

@@ -206,6 +206,26 @@ def test_matroids_with_oracle(capsys):
     assert "oracle agreement: pass" in out
 
 
+@pytest.mark.parametrize("flag", ["-n", "-r"])
+def test_matroids_rejects_negative_sizes(flag, capsys):
+    sizes = {"-n": "2", "-r": "1"}
+    sizes[flag] = "-1"
+    argv = ["matroids", "--coeff", "signs", "-n", sizes["-n"], "-r", sizes["-r"]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} must be non-negative, got -1\n"
+
+
+def test_matroids_node_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(matroid, "ENUM_NODE_CAP", 100)
+    assert main(["matroids", "--coeff", "signs", "-n", "4", "-r", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "search node cap ENUM_NODE_CAP = 100" in err
+
+
 def test_iso_found(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["construct", "G", "--in", "signfuzzy", "--out", str(out)]) == 0

@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperalg as ha
-from hyperalg.core import mask_of
+from hyperalg.core import iterated_hypersum, mask_of
 from hyperalg.hyper import (
     BUILTIN_HYPERRINGS,
     builtin,
@@ -248,3 +249,39 @@ def test_partial_laws_read_where_defined():
     assert check_hyperring(uz).passed
     assert uz.add[1][1] == 0  # empty hypersum
     assert uz.add[1][2] == 1  # 1 + (-1) = {0}
+
+
+@functools.cache
+def _memo_ring(name):
+    """One instance per name, so the fold memo stays warm across examples."""
+    return ha.unit_field_z() if name == "unitfield(Z)" else builtin(name)
+
+
+MEMO_RINGS = [*sorted(BUILTIN_HYPERRINGS), "unitfield(Z)"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MEMO_RINGS), st.data())
+def test_memoized_hsum_matches_iterated_hypersum(name, data):
+    h = _memo_ring(name)
+    elems = data.draw(st.lists(st.integers(0, h.n - 1), min_size=1, max_size=6))
+    expected = iterated_hypersum(h.add, elems)
+    for _ in range(2):  # cold, then warm memo
+        assert h.hsum(elems) == expected
+        assert h.sum_is_null(elems) == bool(expected & 1)
+
+
+@pytest.mark.parametrize("name", MEMO_RINGS)
+def test_memoized_hsum_rejects_empty_sum(name):
+    h = _memo_ring(name)
+    with pytest.raises(ValueError):
+        h.hsum([])
+    with pytest.raises(ValueError):
+        h.sum_is_null([])
+
+
+def test_memoized_hsum_keeps_partial_empty_sums_empty():
+    uz = _memo_ring("unitfield(Z)")
+    for _ in range(2):
+        assert uz.hsum([1, 1]) == uz.hsum([1, 1, 2]) == 0  # 1 + 1 is empty
+        assert not uz.sum_is_null([1, 1, 2])

@@ -55,9 +55,27 @@ def test_gpfunction_rejects_zero_and_nonunits():
         matroid.GPFunction(3, 2, (3, 1, 1), s)  # 3 is null, not a unit
 
 
+def _stirling2(m, p):
+    if m == p:
+        return 1
+    if p == 0 or p > m:
+        return 0
+    return p * _stirling2(m - 1, p) + _stirling2(m - 1, p - 1)
+
+
+def _rank2_matroids(n):
+    """Rank-2 matroids on n labelled elements: pick m nonloops and split
+    them into p >= 2 parallel classes."""
+    return sum(
+        math.comb(n, m) * _stirling2(m, p)
+        for m in range(2, n + 1)
+        for p in range(2, m + 1)
+    )
+
+
 @pytest.mark.parametrize(
     "n,r,count",
-    [(3, 1, 7), (4, 2, 36), (5, 2, 171)],
+    [(3, 1, 7), (4, 2, 36), (5, 2, 171), (6, 2, _rank2_matroids(6))],
 )
 def test_krasner_counts_match_matroid_counts(n, r, count):
     k = hyper.krasner()
@@ -155,13 +173,18 @@ def test_verify_gp_matches_reference_perturbed(name, seed):
     # one mul entry changed, row and column 0 and the row of -1 included: on
     # a table that is not a field's the signs, the parities and the terms
     # that are zero on a field all show in the sums
-    c = DIFFERENTIAL_COEFFS[name]()
-    rng = random.Random(f"{name}-{seed}")
+    perturbed = _perturbed_mul(DIFFERENTIAL_COEFFS[name](), f"{name}-{seed}")
+    assert _assert_matches_reference(perturbed, [(3, 2), (4, 2)]) > 0
+
+
+def _perturbed_mul(c, seed):
+    """c with one mul entry changed at random, keeping at least one unit."""
+    rng = random.Random(seed)
     perturbed = c
     while perturbed.mul == c.mul or not perturbed.units:
         i, j = rng.randrange(c.n), rng.randrange(c.n)
         perturbed = _with_mul_entry(c, i, j, rng.randrange(c.n))
-    assert _assert_matches_reference(perturbed, [(3, 2), (4, 2)]) > 0
+    return perturbed
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_COEFFS))
@@ -202,14 +225,6 @@ def test_non_gp_witnesses_pinned():
     assert terms == [1, 1, 1]
 
 
-def _stirling2(m, p):
-    if m == p:
-        return 1
-    if p == 0 or p > m:
-        return 0
-    return p * _stirling2(m - 1, p) + _stirling2(m - 1, p - 1)
-
-
 def _rank2_chirotopes(n):
     """Rank-2 chirotopes on n labelled elements, chi and -chi both counted.
     Pick m nonloops, split them into p >= 2 parallel classes, orient each
@@ -234,6 +249,94 @@ def test_signs_reach_n5():
     assert counts == [_rank2_chirotopes(5)] * 2 == [3604] * 2
     assert normalized == [c // 2 for c in counts]
     assert elapsed < 30
+
+
+def test_signs_reach_n6_rank2():
+    # 3^15 candidates, out of reach for a loop over every assignment
+    s = hyper.signs()
+    start = time.perf_counter()
+    count = len(matroid.enumerate_gp(s, 6, 2))
+    elapsed = time.perf_counter() - start
+    assert count == _rank2_chirotopes(6) == 52326
+    assert elapsed < 60
+
+
+def test_enumeration_node_cap(monkeypatch):
+    monkeypatch.setattr(matroid, "ENUM_NODE_CAP", 100)
+    # krasner (3, 1) tries at most 2 + 4 + 8 values
+    assert len(matroid.enumerate_gp(hyper.krasner(), 3, 1)) == 7
+    with pytest.raises(ValueError, match="search node cap ENUM_NODE_CAP = 100"):
+        matroid.enumerate_gp(hyper.signs(), 4, 2)
+    with pytest.raises(ValueError, match="capped at n <= 6, r <= 3"):
+        matroid.enumerate_gp(hyper.krasner(), 7, 1)
+
+
+def _brute_force_gp(f, n, r, normalize=False):
+    """Every assignment in itertools.product order, checked in full: the
+    oracle of enumerate_gp's search."""
+    slots = math.comb(n, r)
+    choices = [0, *f.units]
+    out = []
+    for values in itertools.product(choices, repeat=slots):
+        if all(v == 0 for v in values):
+            continue
+        if normalize:
+            first = next(v for v in values if v != 0)
+            if first != 1:
+                continue
+        phi = matroid.GPFunction(n, r, values, f)
+        if matroid._gp_holds(phi):
+            out.append(phi)
+    return out
+
+
+ENUM_COEFFS = {
+    "krasner": hyper.krasner,
+    "signs": hyper.signs,
+    "gf3": lambda: hyper.builtin("gf3"),
+    "F(krasner)": lambda: functors.F_obj(hyper.krasner()).fuzzy,
+    "F(signs)": lambda: functors.F_obj(hyper.signs()).fuzzy,
+    "Fbar(signs)": lambda: ddhyper.Fbar(hyper.signs()),
+    "krasnerfuzzy": fuzzy.krasner_fuzzy,
+    "signfuzzy": fuzzy.sign_fuzzy,
+}
+
+
+def _assert_enumeration_matches(c, sizes, normalize):
+    found = 0
+    for n, r in sizes:
+        values = [phi.values for phi in matroid.enumerate_gp(c, n, r, normalize)]
+        assert values == [
+            phi.values for phi in _brute_force_gp(c, n, r, normalize)
+        ], (n, r)
+        found += len(values)
+    return found
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("name", sorted(ENUM_COEFFS))
+def test_enumerate_gp_matches_brute_force(name, normalize):
+    # n <= 5 with one unit, n <= 4 with two (signs at n = 5 in reach tests);
+    # r = n + 1 has no slots and gives an empty list
+    c = ENUM_COEFFS[name]()
+    top = 5 if len(c.units) == 1 else 4
+    sizes = [(n, r) for n in range(top + 1) for r in range(min(n, 3) + 1)]
+    assert _assert_enumeration_matches(c, sizes, normalize) > 0
+    for n in range(3):
+        assert matroid.enumerate_gp(c, n, n + 1, normalize) == []
+        assert _brute_force_gp(c, n, n + 1, normalize) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_COEFFS))
+def test_enumerate_gp_matches_brute_force_perturbed(name, seed):
+    # on a table that is not a field's the pruning must still be exact: a
+    # relation is decided from the slots up to its last one
+    c = _perturbed_mul(DIFFERENTIAL_COEFFS[name](), f"{name}-{seed}")
+    negated_zero = _with_mul_entry(DIFFERENTIAL_COEFFS[name](), c.minus_one, 0, 1)
+    for coeff in (c, negated_zero):
+        for normalize in (False, True):
+            _assert_enumeration_matches(coeff, [(3, 2), (4, 2), (4, 3)], normalize)
 
 
 def test_scaling_invariance():
