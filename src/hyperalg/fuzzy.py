@@ -85,9 +85,16 @@ def make_fuzzy_ring(add, mul, k0, epsilon=None, name: str = "") -> FiniteFuzzyRi
 # FR0-FR5 are vectorized table comparisons.  FR6 and FR7 quantify over
 # quadruples; with N(s) = {x : s + x in K0}, row s of nul[add], they are read
 # through null sets:
-#   FR6  a+b, c+d null => ac + eps*bd null  is  eps*b*N(c) <= N(ac)
-#        for every null pair (a, b) and every c.  This only unfolds the
-#        definitions, so it is tested on every ring.
+#   FR6  a+b, c+d null => ac + eps*bd null  is, for every a and c,
+#        U(a, c) = union of eps*b*N(c) over b in N(a)  <=  N(ac).
+#        This only unfolds the definitions, so it is tested on every ring.
+#        The images eps*b*N(c) are bit sets scattered in blocks of b of at
+#        most FR6_CHUNK_CELLS cells; then a runs in ascending order.  When
+#        multiplication commutes, (a, b, c, d) fails iff (c, d, a, b) does,
+#        so a failing quadruple with c < a has a smaller failing first index
+#        c, and the first a that fails has a failure with c >= a: testing
+#        c >= a finds the same first a.  The witness is read from the
+#        images: the first b in N(a) with a failing c, that c, the first d.
 #   FR7  a + b(c+d) null => a + bc + bd null  is  N(b(c+d)) <= N(bc + bd)
 #        for all b, c, d, given that addition is associative,
 #        (a + bc) + bd = a + (bc + bd), and commutative, a + s = s + a.
@@ -183,7 +190,8 @@ def _fuzzy_violations(k: FiniteFuzzyRing, dom: np.ndarray) -> list[Violation]:
     else:
         additive = (add == add.T).all() and _assoc_witness(add, np.arange(k.n)) is None
     null_of = nul[add]  # row s is N(s)
-    v += _fr6_inclusions(null_of, mul, k.epsilon, dom)
+    commutative = not any(label == "FR0-mul-commutative" for label, _ in v)
+    v += _fr6_unions(null_of, mul, k.epsilon, dom, commutative)
     if additive:
         v += _fr7_inclusions(null_of, add, mul, dom)
     else:
@@ -199,54 +207,63 @@ def _packed(rows):
     return out.view(np.uint64)
 
 
-# bit-set cells compared per FR6 chunk at most; chunks of null pairs start at
-# one and double, so a witness among the first pairs costs no full chunk
-FR6_CHUNK_CELLS = 2_000_000
+# bool cells (b, c, x) per block of the FR6 image scatter, unless one b has
+# more; its index array has one entry per null pair (c, d), so no more
+FR6_CHUNK_CELLS = 2**16
 
 
-def _fr6_inclusions(null_of, mul, epsilon, dom) -> list[Violation]:
-    """FR6 as eps*b*N_D(c) <= N(ac) over null pairs (a, b) and all c in dom,
-    in the quadruple sweep's order: pairs (a, b), then c, then d."""
+def _fr6_unions(null_of, mul, epsilon, dom, commutative) -> list[Violation]:
+    """FR6 as U(a, c) <= N(ac) for a in dom ascending and every c in dom,
+    or every c >= a when multiplication commutes on dom; the witness is the
+    first failing quadruple (a, b, c, d) in row-major order."""
     null_dom = _on(null_of, dom)
-    pairs = np.argwhere(null_dom)
-    if not pairs.size:
+    m, n = null_dom.shape[0], len(mul)
+    pc, pd = np.nonzero(null_dom)  # the null pairs (c, d)
+    if not pc.size:
         return []
-    pa, pb = pairs[:, 0], pairs[:, 1]
     mul_dom = _on(mul, dom)
     emul = mul[epsilon][mul_dom]  # emul[b,d] = eps*(b*d)
     null_bits = _packed(null_of)
-    # image[b, c] = eps*b*N_D(c), built for the b of each chunk when first met
-    image = np.empty(null_dom.shape + null_bits.shape[1:], dtype=np.uint64)
-    built = np.zeros(len(dom), dtype=bool)
-    i, chunk, cap = 0, 1, max(1, FR6_CHUNK_CELLS // image[0].size)
-    while i < len(pairs):
-        a, b = pa[i : i + chunk], pb[i : i + chunk]
-        for e in np.unique(b[~built[b]]):
-            sets = np.zeros((len(dom), len(mul)), dtype=bool)
-            sets[pa, emul[e, pb]] = True  # the pairs are (c, d)
-            image[e] = _packed(sets)
-        built[b] = True
-        bad = (image[b] & ~null_bits[mul_dom[a]]).any(axis=2)  # bad[pair, c]
-        failing = np.flatnonzero(bad.any(axis=1))
-        if failing.size:
-            r = failing[0]
-            a, b = a[r], b[r]
-            c = np.flatnonzero(bad[r])[0]
-            d = np.flatnonzero(null_dom[c] & ~null_of[mul_dom[a, c], emul[b]])[0]
-            return [("FR6", tuple(int(dom[x]) for x in (a, b, c, d)))]
-        i, chunk = i + chunk, min(2 * chunk, cap)
+    # image[b, c] = eps*b*N_D(c), scattered for blocks of b
+    image = np.empty((m, m, null_bits.shape[1]), dtype=np.uint64)
+    step = max(1, FR6_CHUNK_CELLS // (m * n))
+    base = pc * n
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        sets = np.zeros((hi - lo) * m * n, dtype=bool)
+        cells = np.take(emul[lo:hi], pd, axis=1)  # cells[b - lo, pair]
+        cells += base
+        cells += np.arange(0, (hi - lo) * m * n, m * n)[:, None]
+        sets[cells] = True
+        image[lo:hi] = _packed(sets.reshape(hi - lo, m, n))
+    for a in range(m):
+        bs = np.flatnonzero(null_dom[a])
+        if not bs.size:
+            continue
+        cs = a if commutative else 0
+        outside = ~null_bits[mul_dom[a]]  # outside[c] = complement of N(ac)
+        union = np.bitwise_or.reduce(image[bs, cs:], axis=0)
+        if not (union & outside[cs:]).any():
+            continue
+        bad = (image[bs] & outside).any(axis=2)  # bad[b, c]
+        r, c = np.argwhere(bad)[0]
+        b = bs[r]
+        d = np.flatnonzero(null_dom[c] & ~null_of[mul_dom[a, c], emul[b]])[0]
+        return [("FR6", tuple(int(dom[x]) for x in (a, b, c, d)))]
     return []
 
 
 def _fr7_inclusions(null_of, add, mul, dom) -> list[Violation]:
     """FR7 as N_D(b(c+d)) <= N_D(bc+bd) over b, c, d in dom, each distinct
-    pair tested once; needs additive associativity and commutativity."""
+    pair tested once; needs additive associativity and commutativity, so
+    that (c, d) and (d, c) give the same pair and c <= d suffices."""
     n = len(add)
-    add_dom = _on(add, dom)
+    c, d = np.triu_indices(len(dom))
+    sums = _on(add, dom)[c, d]
     marked = np.zeros((n, n), dtype=bool)
     for b in dom:
         mb = mul[b, dom]
-        marked[mul[b][add_dom], add[mb[:, None], mb[None, :]]] = True
+        marked[mul[b][sums], add[mb[c], mb[d]]] = True
     np.fill_diagonal(marked, False)
     p, q = np.nonzero(marked)
     null_bits = _packed(null_of[:, dom])  # row s is N_D(s)

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hyperalg import fuzzy, ordgrp
 from hyperalg.core import bits, mask_of
 from hyperalg.functors import F_obj
 from hyperalg.fuzzy import (
     BUILTIN_FUZZY,
     _on,
+    _packed,
     _tables,
     builtin_fuzzy,
     check_fuzzy_axioms,
@@ -290,6 +292,155 @@ def test_axiom_checker_catches_broken_fr5():
     broken = s.__class__(s.n, s.add, s.mul, s.epsilon, 0b1111, s.name)
     rep = check_fuzzy_axioms(broken)
     assert not rep.passed
+
+
+# --- FR6: the per-a unions against the per-pair inclusions ------------------
+
+# bit-set cells compared per chunk of null pairs at most
+ORACLE_CHUNK_CELLS = 2_000_000
+
+
+def _fr6_inclusions(null_of, mul, epsilon, dom) -> list[Violation]:
+    """FR6 as eps*b*N_D(c) <= N(ac) over null pairs (a, b) and all c in dom,
+    in the quadruple sweep's order: pairs (a, b), then c, then d."""
+    null_dom = _on(null_of, dom)
+    pairs = np.argwhere(null_dom)
+    if not pairs.size:
+        return []
+    pa, pb = pairs[:, 0], pairs[:, 1]
+    mul_dom = _on(mul, dom)
+    emul = mul[epsilon][mul_dom]  # emul[b,d] = eps*(b*d)
+    null_bits = _packed(null_of)
+    # image[b, c] = eps*b*N_D(c), built for the b of each chunk when first met
+    image = np.empty(null_dom.shape + null_bits.shape[1:], dtype=np.uint64)
+    built = np.zeros(len(dom), dtype=bool)
+    i, chunk, cap = 0, 1, max(1, ORACLE_CHUNK_CELLS // image[0].size)
+    while i < len(pairs):
+        a, b = pa[i : i + chunk], pb[i : i + chunk]
+        for e in np.unique(b[~built[b]]):
+            sets = np.zeros((len(dom), len(mul)), dtype=bool)
+            sets[pa, emul[e, pb]] = True  # the pairs are (c, d)
+            image[e] = _packed(sets)
+        built[b] = True
+        bad = (image[b] & ~null_bits[mul_dom[a]]).any(axis=2)  # bad[pair, c]
+        failing = np.flatnonzero(bad.any(axis=1))
+        if failing.size:
+            r = failing[0]
+            a, b = a[r], b[r]
+            c = np.flatnonzero(bad[r])[0]
+            d = np.flatnonzero(null_dom[c] & ~null_of[mul_dom[a, c], emul[b]])[0]
+            return [("FR6", tuple(int(dom[x]) for x in (a, b, c, d)))]
+        i, chunk = i + chunk, min(2 * chunk, cap)
+    return []
+
+
+def _oracle_fuzzy_violations(k, dom=None):
+    """The violation list with FR6 from the per-pair inclusions."""
+    dom = np.arange(k.n) if dom is None else dom
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            fuzzy,
+            "_fr6_unions",
+            lambda null_of, mul, eps, dom, commutative: _fr6_inclusions(
+                null_of, mul, eps, dom
+            ),
+        )
+        return fuzzy._fuzzy_violations(k, dom)
+
+
+def _one_sided_mul(k, i, j, value):
+    rows = [list(row) for row in k.mul]
+    rows[i][j] = value
+    return replace(k, mul=tuple(map(tuple, rows)))
+
+
+def _fr6_witness(violations):
+    return next((w for label, w in violations if label == "FR6"), None)
+
+
+_GF13 = galois_field(13)
+LARGE_CORPUS = {  # 127 elements each
+    "gf7": lambda: builtin("gf7"),
+    "gf13/U2": lambda: quotient(_GF13, _unit_subgroup(_GF13, 2)),
+    "khef-klein4": lambda: builtin("khef-klein4"),
+}
+# F(gf7) with mul[68][65] changed alone: FR6 fails only where c < a, first
+# at (31, 68, 1, 65), so a sweep over c >= a alone would report no FR6
+NONCOMMUTATIVE_ENTRY = {"gf7": (68, 65, 86)}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CORPUS))
+def test_fr6_unions_match_inclusions(name):
+    k = F_obj(LARGE_CORPUS[name]()).fuzzy
+    assert k.n == 127
+    rng = random.Random(name)
+    copies = [k] + [_perturbed(k, rng) for _ in range(4)]
+    copies += [_one_sided(k, rng, flip) for flip in (True, False)]
+    i, j, value = NONCOMMUTATIVE_ENTRY.get(
+        name, (rng.randrange(2, k.n), rng.randrange(2, k.n), rng.randrange(k.n))
+    )
+    copies.append(_one_sided_mul(k, i, j, value))
+    assert "FR0-mul-commutative" in {l for l, _ in check_fuzzy_axioms(copies[-1]).violations}
+    failing = 0
+    for copy, kk in enumerate(copies):
+        expected = _oracle_fuzzy_violations(kk)
+        assert list(check_fuzzy_axioms(kk).violations) == expected, copy
+        failing += _fr6_witness(expected) is not None
+    assert failing >= 3
+
+
+def test_fr6_all_c_branch_pinned():
+    k = F_obj(builtin("gf7")).fuzzy
+    kk = _one_sided_mul(k, *NONCOMMUTATIVE_ENTRY["gf7"])
+    assert _fr6_witness(check_fuzzy_axioms(kk).violations) == (31, 68, 1, 65)
+    assert _fr6_witness(_oracle_fuzzy_violations(kk)) == (31, 68, 1, 65)
+
+
+@pytest.mark.parametrize("b", [3, 4])
+def test_fr6_unions_match_inclusions_on_window(b):
+    _, _, k = ordgrp._kgamma_ring(b)
+    dom = np.arange(len(ordgrp.window_subsets(b)))
+    assert len(dom) < k.n
+    rng = random.Random(b)
+    copies = [k]
+    while len(copies) < 4:
+        i, j = rng.choice(dom[2:]), rng.choice(dom[2:])
+        kk = _with_entry(k, "mul", i, j, rng.choice(dom))
+        if _fr6_witness(_oracle_fuzzy_violations(kk, dom)) is not None:
+            copies.append(kk)
+    for copy, kk in enumerate(copies):
+        expected = _oracle_fuzzy_violations(kk, dom)
+        assert fuzzy._fuzzy_violations(kk, dom) == expected, copy
+
+
+def _block_splits(k):
+    """FR6_CHUNK_CELLS values for one b per block, and for two b per block
+    with a last block of one."""
+    assert k.n % 2
+    return (1, 2 * k.n * k.n + 1)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CORPUS))
+def test_fr6_block_boundaries(name, monkeypatch):
+    k = F_obj(SMALL_CORPUS[name]).fuzzy
+    rng = random.Random(name)
+    copies = [k] + [_perturbed(k, rng) for _ in range(4)]
+    expected = [check_fuzzy_axioms(kk).violations for kk in copies]
+    for cells in _block_splits(k):
+        monkeypatch.setattr(fuzzy, "FR6_CHUNK_CELLS", cells)
+        assert [check_fuzzy_axioms(kk).violations for kk in copies] == expected
+
+
+def test_fr6_block_boundaries_127(monkeypatch):
+    k = F_obj(builtin("gf7")).fuzzy
+    rng = random.Random(7)
+    kk = _perturbed(k, rng)
+    while _fr6_witness(check_fuzzy_axioms(kk).violations) is None:
+        kk = _perturbed(k, rng)
+    expected = check_fuzzy_axioms(kk).violations
+    for cells in _block_splits(kk):
+        monkeypatch.setattr(fuzzy, "FR6_CHUNK_CELLS", cells)
+        assert check_fuzzy_axioms(kk).violations == expected
 
 
 # --- morphisms ---------------------------------------------------------------

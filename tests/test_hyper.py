@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperalg as ha
+from hyperalg import ddhyper
 from hyperalg.core import iterated_hypersum, mask_of
 from hyperalg.hyper import (
     BUILTIN_HYPERRINGS,
@@ -74,6 +75,35 @@ def test_galois_fields(q):
     assert f.n == q
     assert check_hyperfield(f).passed
     assert check_doubly_distributive(f).passed  # single-valued sums
+
+
+def _dd_failures_brute_force(h):
+    """Quadruples with (a+b)(c+d) != ac+ad+bc+bd, on Python sets."""
+    def elems(mask):
+        return {x for x in range(h.n) if mask >> x & 1}
+
+    def hsum(xs):
+        acc = {xs[0]}
+        for y in xs[1:]:
+            acc = set().union(*(elems(h.add[x][y]) for x in acc))
+        return acc
+
+    count = 0
+    for a, b, c, d in itertools.product(range(h.n), repeat=4):
+        left = {h.mul[x][y] for x in elems(h.add[a][b]) for y in elems(h.add[c][d])}
+        right = hsum([h.mul[a][c], h.mul[a][d], h.mul[b][c], h.mul[b][d]])
+        count += left != right
+    return count
+
+
+def test_doubly_distributive_reports_every_failure():
+    h = builtin("kh-klein4")
+    rep = check_doubly_distributive(h)
+    assert len(rep.violations) == _dd_failures_brute_force(h) == 144
+    assert rep.violations[0] == ("doubly-distributive", (1, 1, 1, 2))
+    with pytest.raises(ddhyper.NotDoublyDistributive) as e:
+        ddhyper.F1(h)
+    assert e.value.args == ("not doubly distributive, witness (1, 1, 1, 2)",)
 
 
 def test_gf4_has_characteristic_two():
