@@ -8,6 +8,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     CarrierTooLarge,
     bits,
@@ -244,23 +246,45 @@ def _unit_orbits(k: FiniteFuzzyRing) -> list[list[int]]:
     return orbits
 
 
-class _GrowingClosure:
+class _OrbitClosure:
     """The pairs (s, t) that sums of generators (x, y) reach in K x L from
     (0, 0), as in `fuzzy._null_closure`, grown a generator at a time and
-    undone a level at a time.
+    undone a level at a time, with one pair kept per orbit of the units.
+
+    A unit u of K acts by sigma_u(s, t) = (us, f(u)t), f the unit map.  When
+    the laws of `FiniteFuzzyRing._units_act` hold on K and on L, sigma_u is
+    an additive bijection that fixes (0, 0) and keeps (null, non-null)
+    pairs.  A generator then comes with its orbit, and the pairs reached
+    are a union of orbits: `seen` marks every pair of a reached orbit, and
+    only the first pair reached in it is kept and added to.  That suffices:
+    if p + s is reached for every kept p and every generator s, then so is
+    sigma_u(p) + s = sigma_u(p + sigma_u^-1(s)).  Otherwise the group is {1},
+    every orbit is one pair, and this is the plain closure.
 
     A closure over a subset of the generators of a complete candidate
     reaches a subset of its pairs, so a pair (null in K, non-null in L)
     found here refutes every completion.
     """
 
-    def __init__(self, k: FiniteFuzzyRing, l: FiniteFuzzyRing):
+    def __init__(self, k: FiniteFuzzyRing, l: FiniteFuzzyRing, unit_map):
         self.kadd, self.ladd, self.width = k.add, l.add, l.n
+        if (
+            len(k.units) > 1
+            and set(unit_map.values()) <= set(l.units)
+            and k._units_act
+            and l._units_act
+        ):
+            krows = [k.mul[u] for u in k.units]
+            lrows = [l.mul[unit_map[u]] for u in k.units]
+        else:
+            krows, lrows = [range(k.n)], [range(l.n)]
+        # the orbit of (s, t) is zip(kact[s], lact[t])
+        self.kact, self.lact = list(zip(*krows)), list(zip(*lrows))
         self.knull = [k.is_null(s) for s in range(k.n)]
         self.lnull = [l.is_null(t) for t in range(l.n)]
         self.seen = bytearray(k.n * l.n)  # pair (s, t) at s * width + t
         self.seen[0] = 1
-        self.pairs = [(0, 0)]  # in insertion order, so a level is a suffix
+        self.pairs = [(0, 0)]  # one per orbit, in insertion order
         self.gens: list[tuple[int, int]] = []
         self.levels: list[tuple[int, int]] = []
 
@@ -272,34 +296,65 @@ class _GrowingClosure:
 
     def undo(self) -> None:
         n_pairs, n_gens = self.levels.pop()
+        kact, lact, seen, width = self.kact, self.lact, self.seen, self.width
         for s, t in self.pairs[n_pairs:]:
-            self.seen[s * self.width + t] = 0
+            for s2, t2 in zip(kact[s], lact[t]):
+                seen[s2 * width + t2] = 0
         del self.pairs[n_pairs:]
         del self.gens[n_gens:]
 
     def _add(self, x: int, y: int) -> bool:
         kadd, ladd, knull, lnull = self.kadd, self.ladd, self.knull, self.lnull
+        kact, lact = self.kact, self.lact
         seen, pairs, gens, width = self.seen, self.pairs, self.gens, self.width
         if seen[x * width + y]:
             return True  # sums of generators form a monoid: nothing new
-        gens.append((x, y))
+        orbit = list(dict.fromkeys(zip(kact[x], lact[y])))
+        gens += orbit
         # the pairs so far are closed under the other generators and get
-        # only (x, y); a new pair gets every generator
+        # only the orbit; a new pair gets every generator
         old = len(pairs)
         i = 0
         while i < len(pairs):
             s, t = pairs[i]
             krow, lrow = kadd[s], ladd[t]
-            for gx, gy in gens if i >= old else ((x, y),):
+            for gx, gy in gens if i >= old else orbit:
                 s2, t2 = krow[gx], lrow[gy]
-                code = s2 * width + t2
-                if not seen[code]:
-                    seen[code] = 1
+                if not seen[s2 * width + t2]:
+                    for s3, t3 in zip(kact[s2], lact[t2]):
+                        seen[s3 * width + t3] = 1
                     pairs.append((s2, t2))
                     if knull[s2] and not lnull[t2]:
                         return False
             i += 1
         return True
+
+    def holds_closure_of(self, k: FiniteFuzzyRing, l: FiniteFuzzyRing, g) -> bool:
+        """Are the pairs here closed under every product (ab, g(a)g(b))?
+        These include the generators of `check_strong_morphism`, so the
+        pairs then hold its closure, which has no (null, non-null) pair: it
+        accepts g.  They are closed under the products added here; the
+        others are tested on every kept pair.  When g meets condition (1),
+        sigma_u maps (ab, g(a)g(b)) to ((ua)b, g(ua)g(b)), so the products
+        are a union of orbits, as are those added, and that tests every
+        pair."""
+        w = self.width
+        ga = np.array(g)
+        codes = np.array(k.mul, dtype=np.int32)  # codes < |K| |L| <= 2^24
+        codes *= w
+        codes += np.array(l.mul, dtype=np.int32)[np.ix_(ga, ga)]
+        todo = np.zeros(len(self.seen), dtype=bool)
+        todo[codes] = True
+        added = np.array(self.gens).T
+        todo[added[0] * w + added[1]] = False
+        xs, ys = np.divmod(np.flatnonzero(todo), w)
+        rest = list(zip(xs.tolist(), ys.tolist()))
+        kadd, ladd, seen = self.kadd, self.ladd, self.seen
+        return all(
+            seen[krow[x] * w + lrow[y]]
+            for krow, lrow in ((kadd[s], ladd[t]) for s, t in self.pairs)
+            for x, y in rest
+        )
 
 
 def strong_extension_search(
@@ -313,12 +368,15 @@ def strong_extension_search(
     The multiplicativity condition forces g on unit multiples, so candidates
     are enumerated per unit-orbit, subject to stabilizer consistency.  The
     pair closure of the generators (a*b, g(a)*g(b)) over the assigned
-    elements prunes at its first (null, non-null) pair.  Each orbit adds
-    only rep * b for every assigned b: the products of the other members
-    are unit multiples of these, and a subset of the generators still
-    prunes soundly.  Complete candidates are verified by
-    `check_strong_morphism`.  Exhausting the space refutes; exhausting the
-    budget is reported as unknown.
+    elements prunes at its first (null, non-null) pair; it keeps one pair
+    per orbit of the units when they act (`_OrbitClosure`).  Each orbit
+    adds only rep * b for every assigned b: the products of the other
+    members are unit multiples of these, and a subset of the generators
+    still prunes soundly.  A complete candidate is accepted when it meets
+    condition (1) and the closure is closed under every generator of
+    `check_strong_morphism`; when the closure is not, that check decides.
+    Exhausting the space refutes; exhausting the budget is reported as
+    unknown.
     """
     cert = check_weak_morphism(k, l, unit_map)
     if not cert.accepted:
@@ -363,7 +421,18 @@ def strong_extension_search(
                 return None
         return new
 
-    closure = _GrowingClosure(k, l)
+    def accepts(full: tuple[int, ...]) -> bool:
+        """Condition (1) directly, then the sum condition from the closure
+        when it holds the strong one, else by `check_strong_morphism`."""
+        for a in k.units:
+            lrow = l.mul[full[a]]
+            if any(full[x] != lrow[full[b]] for b, x in enumerate(k.mul[a])):
+                return False
+        return closure.holds_closure_of(k, l, full) or check_strong_morphism(
+            k, l, full
+        ).accepted
+
+    closure = _OrbitClosure(k, l, unit_map)
     # the unit pairs (u, g(u)) are the weak closure's generators, which
     # were just accepted, so this base level holds
     closure.level((u, unit_map[u]) for u in k.units)
@@ -377,9 +446,7 @@ def strong_extension_search(
         if i == len(orbits):
             state["checks"] += 1
             full = tuple(g)  # all slots assigned here
-            if check_strong_morphism(k, l, full).accepted:
-                return full
-            return None
+            return full if accepts(full) else None
         rep = orbits[i][0]
         for val in cand[rep]:
             state["nodes"] += 1

@@ -44,6 +44,31 @@ class FiniteFuzzyRing:
     def units(self) -> tuple[int, ...]:
         return tuple(bits(self.units_mask))
 
+    @cached_property
+    def _units_act(self) -> bool:
+        """Do the units act on K by u(x+y) = ux+uy, u(xy) = (ux)y = x(uy),
+        ux in K0 iff x in K0, u0 = 0 and 1x = x?  The strong-extension
+        search closes its pairs up to this action (FR2 gives the first law
+        on a fuzzy ring)."""
+        # int16 holds every index up to MAX_FUZZY_CARRIER and keeps the
+        # n x n gathers small
+        add, mul = (np.array(t, dtype=np.int16) for t in (self.add, self.mul))
+        nul = np.array([self.is_null(x) for x in range(self.n)])
+        if (mul[1] != np.arange(self.n)).any():
+            return False
+        for u in self.units:
+            mu = mul[u]
+            prod = mu.take(mul)  # u(xy)
+            if (
+                mu[0] != 0
+                or (nul[mu] != nul).any()
+                or (mu.take(add) != add[mu][:, mu]).any()
+                or (prod != mul[mu]).any()
+                or (prod != mul[:, mu]).any()
+            ):
+                return False
+        return True
+
     @property
     def minus_one(self) -> int:
         return self.epsilon

@@ -10,6 +10,7 @@ sorted index array; epsilon is an index.  Serialization is canonical
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -159,8 +160,15 @@ def _check_header(d: dict, kind: str | None):
         _require(d["kind"] == kind, f"expected kind {kind}, found {d['kind']}")
 
 
+def _require_name(d: dict) -> None:
+    _require(isinstance(d.get("name", ""), str), "name must be a string")
+
+
 def hyperring_from_dict(d: dict) -> FiniteHyperring:
     _check_header(d, "hyperring")
+    _require_name(d)
+    partial = d.get("partial", False)
+    _require(isinstance(partial, bool), "partial must be true or false")
     n = d.get("size")
     _require(isinstance(n, int) and n >= 2, "size must be an integer >= 2")
     add, mul = d.get("add"), d.get("mul")
@@ -168,15 +176,14 @@ def hyperring_from_dict(d: dict) -> FiniteHyperring:
     _require_table(mul, n, "mul")
     masks = [[mask_of(cell) for cell in row] for row in add]
     try:
-        return make_hyperring(
-            masks, mul, partial=bool(d.get("partial", False)), name=d.get("name", "")
-        )
+        return make_hyperring(masks, mul, partial=partial, name=d.get("name", ""))
     except ValueError as e:
         raise StructureError(str(e)) from e
 
 
 def fuzzyring_from_dict(d: dict) -> FiniteFuzzyRing:
     _check_header(d, "fuzzyring")
+    _require_name(d)
     n = d.get("size")
     _require(isinstance(n, int) and n >= 2, "size must be an integer >= 2")
     add, mul, k0 = d.get("add"), d.get("mul"), d.get("k0")
@@ -271,7 +278,39 @@ def structure_from_dict(d: dict, kind: str | None = None):
 
 
 def dumps_canonical(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, indent=1) + "\n"
+    """The bytes of json.dumps(d, sort_keys=True, indent=1) plus a newline,
+    for string keys.  That call runs the pure-Python encoder; here every
+    list of scalars (a table row, say) goes through the C encoder, with the
+    line break and indent of its items as the item separator."""
+    return _dumps(d, "\n") + "\n"
+
+
+def _dumps(x, nl: str) -> str:
+    """x laid out as by indent=1, its own lines starting with nl."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + " "
+        items = (f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(x.items()))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + " "
+        if {*map(type, x)} <= _SCALARS:
+            body = _row_encoder(inner)(x)[1:-1]
+        else:
+            body = ("," + inner).join(_dumps(v, inner) for v in x)
+        return "[" + inner + body + nl + "]"
+    return json.dumps(x)
+
+
+_SCALARS = {int, bool, float, str, type(None)}
+
+
+@functools.lru_cache(maxsize=16)  # one per nesting depth
+def _row_encoder(inner: str):
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
 
 
 def save_structure(obj, path) -> None:

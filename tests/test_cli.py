@@ -113,6 +113,57 @@ def test_malformed_index_table_exits_2(kind, table, defect, tmp_path, capsys):
     assert err == f"error: {table} must be an n x n table of indices\n"
 
 
+@pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
+def test_partial_must_be_a_json_boolean(value, tmp_path, capsys):
+    # a truthy non-boolean once loaded a partial hyperring, and F of it failed
+    d = io.structure_to_dict(hyper.signs())
+    d["partial"] = value
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(d))
+    out = tmp_path / "f.json"
+    assert main(["construct", "F", "--in", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: partial must be true or false\n")
+    assert not out.exists()
+
+
+def _named(kind):
+    """A structure dict of `kind` and the dict inside it that holds a name."""
+    if kind == "gp":
+        d = io.structure_to_dict(matroid.GPFunction(2, 1, (1, 1), hyper.signs()))
+        return d, d["coefficient"]
+    if kind == "demifield":
+        d = io.structure_to_dict(ddhyper.F1(hyper.signs()))
+        return d, d["hyperfield"]
+    d = io.structure_to_dict(hyper.signs() if kind == "hyperring" else fuzzy.sign_fuzzy())
+    return d, d
+
+
+@pytest.mark.parametrize("kind", ["hyperring", "fuzzyring", "gp", "demifield"])
+@pytest.mark.parametrize("value", [5, None, ["signs"]])
+def test_name_must_be_a_string(kind, value, tmp_path, capsys):
+    d, named = _named(kind)
+    named["name"] = value
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(d))
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr() == ("", "error: name must be a string\n")
+
+
+@pytest.mark.parametrize("ring", [hyper.signs(), functors.unit_field_z()])
+def test_boolean_partial_files_are_unchanged(ring, tmp_path, capsys):
+    p = tmp_path / "s.json"
+    io.save_structure(ring, p)
+    text = p.read_text()
+    assert f'"partial": {"true" if ring.partial else "false"}' in text
+    assert main(["check", str(p)]) == 0
+    io.save_structure(io.load_structure(p), p)
+    assert p.read_text() == text
+    # F of a partial hyperring is no fuzzy ring (FR1 fails at the empty set)
+    out = tmp_path / "f.json"
+    rc = main(["construct", "F", "--in", str(p), "--out", str(out)])
+    assert rc == (1 if ring.partial else 0)
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["check", "/no/such/file.json"]) == 2
 

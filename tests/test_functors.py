@@ -4,8 +4,10 @@ import signal
 import pytest
 
 import hyperalg as ha
+from hyperalg import functors
 from hyperalg.core import CarrierTooLarge, bits, mask_of
 from hyperalg.fuzzy import (
+    FiniteFuzzyRing,
     check_fuzzy_axioms,
     check_strong_morphism,
     check_weak_morphism,
@@ -20,6 +22,7 @@ from hyperalg.functors import (
     F_obj,
     G_mor,
     G_obj,
+    _OrbitClosure,
     _unit_orbits,
     check_roundtrips,
     check_roundtrips_fuzzy,
@@ -28,7 +31,15 @@ from hyperalg.functors import (
     unit_field,
     unit_field_z,
 )
-from hyperalg.hyper import builtin, check_hyperfield, iso_hyper, quotient, galois_field
+from hyperalg.hyper import (
+    builtin,
+    check_hyperfield,
+    cyclic_group,
+    galois_field,
+    iso_hyper,
+    khef,
+    quotient,
+)
 
 HYPERFIELDS = ["krasner", "signs", "gf2", "gf3", "gf4", "gf5", "kh-klein4", "kh-c4"]
 
@@ -389,3 +400,180 @@ def test_extension_search_matches_brute_force(src):
             res = strong_extension_search(k, l, unit_map)
             assert res.verdict != "unknown"
             assert (res.verdict == "extends") == _some_strong_extension(k, l, unit_map)
+
+
+# --- the orbit closure against the plain one ------------------------------------
+
+
+def _c5_search():
+    """The K[C5] decision of acceptance 5: F(K[C5] u {e,f}) -> F(K[C5]),
+    the identity on units."""
+    src, dst = F_obj(khef(cyclic_group(5))), F_obj(builtin("kh-c5"))
+    unit_map = {src.embed[u]: dst.embed[u] for u in src.base.units}
+    return src.fuzzy, dst.fuzzy, unit_map
+
+
+def _pool_searches():
+    jobs = [
+        (k, l, unit_map)
+        for k in DECIDE_POOL.values()
+        for l in DECIDE_POOL.values()
+        for unit_map in enumerate_unit_homs(k, l)
+    ]
+    return jobs + [_c5_search()]
+
+
+def test_orbit_closure_matches_trivial_group(monkeypatch):
+    jobs = _pool_searches()
+    acting = [len(k.units) > 1 and k._units_act and l._units_act for k, l, _ in jobs]
+    assert sum(acting) > len(jobs) // 2 and acting[-1]
+    orbits = [strong_extension_search(k, l, unit_map) for k, l, unit_map in jobs]
+    # with the law flag False every search runs the plain closure
+    monkeypatch.setattr(FiniteFuzzyRing, "_units_act", property(lambda k: False))
+    plain = [strong_extension_search(k, l, unit_map) for k, l, unit_map in jobs]
+    assert orbits == plain
+    assert plain[-1].verdict == "extends"
+    assert (plain[-1].nodes, plain[-1].full_checks) == (678, 1)
+
+
+def _failing_laws(k):
+    """The unit-action laws of `FiniteFuzzyRing._units_act` that fail on k,
+    by loops over the tables."""
+    n, add, mul = k.n, k.add, k.mul
+    failed = set()
+    if any(mul[1][x] != x for x in range(n)):
+        failed.add("1x = x")
+    for u in k.units:
+        mu = mul[u]
+        if mu[0] != 0:
+            failed.add("u0 = 0")
+        for x in range(n):
+            if k.is_null(mu[x]) != k.is_null(x):
+                failed.add("ux null iff x null")
+            for y in range(n):
+                if mu[add[x][y]] != add[mu[x]][mu[y]]:
+                    failed.add("u(x+y) = ux+uy")
+                if mu[mul[x][y]] != mul[mu[x]][y]:
+                    failed.add("u(xy) = (ux)y")
+                if mu[mul[x][y]] != mul[x][mu[y]]:
+                    failed.add("u(xy) = x(uy)")
+    return failed
+
+
+# one entry of F(signs) changed; units and their products stay as they were,
+# and every element stays in some unit orbit, as the search needs
+LAW_BREAKERS = {
+    "1x = x": ("mul", 1, 4, 1),
+    "u0 = 0": ("mul", 3, 0, 2),
+    "ux null iff x null": ("mul", 3, 2, 3),
+    "u(x+y) = ux+uy": ("add", 0, 0, 1),
+    "u(xy) = (ux)y": ("mul", 2, 0, 5),
+    "u(xy) = x(uy)": ("mul", 0, 1, 5),
+}
+
+
+def _broken(law):
+    k = DECIDE_POOL["F(signs)"]
+    table, x, y, value = LAW_BREAKERS[law]
+    tables = {"add": [list(r) for r in k.add], "mul": [list(r) for r in k.mul]}
+    tables[table][x][y] = value
+    add, mul = (tuple(map(tuple, tables[t])) for t in ("add", "mul"))
+    return FiniteFuzzyRing(k.n, add, mul, k.epsilon, k.k0, f"F(signs) without {law}")
+
+
+def test_units_act_matches_loops():
+    for k in DECIDE_POOL.values():
+        assert k._units_act == (not _failing_laws(k)), k.name
+
+
+@pytest.mark.parametrize("law", sorted(LAW_BREAKERS))
+def test_broken_law_gives_trivial_group(law):
+    m = _broken(law)
+    assert law in _failing_laws(m)
+    assert not m._units_act
+    k = DECIDE_POOL["F(signs)"]
+    assert m.units == k.units and len(m.units) > 1
+    small = [l for l in DECIDE_POOL.values() if l.n <= 7]
+    for src, dst in [(m, l) for l in small] + [(l, m) for l in small]:
+        for unit_map in enumerate_unit_homs(src, dst):
+            closure = _OrbitClosure(src, dst, unit_map)
+            assert closure.kact == [(s,) for s in range(src.n)]
+            new = strong_extension_search(src, dst, unit_map)
+            old = _pairwise_search(src, dst, unit_map)
+            assert new.verdict != "unknown"
+            if old.verdict != "unknown":
+                assert new.verdict == old.verdict, (src.name, dst.name, unit_map)
+
+
+def _closed_by_sets(closure, k, l, g):
+    """Is the set of pairs the closure marks closed under every product
+    (ab, g(a)g(b)), by Python sets?"""
+    w = closure.width
+    reached = {divmod(c, w) for c, hit in enumerate(closure.seen) if hit}
+    gens = {(k.mul[a][b], l.mul[g[a]][g[b]]) for a in range(k.n) for b in range(k.n)}
+    return all((k.add[s][x], l.add[t][y]) in reached for s, t in reached for x, y in gens)
+
+
+def test_leaf_test_matches_sets_on_partial_closures():
+    # grow a closure by the products of one element at a time; the leaf's
+    # test must say what the sets say at every step
+    answers = set()
+    jobs = [job for job in _pool_searches()[:-1] if 7 <= job[0].n <= 15]
+    for k, l, unit_map in jobs[::8]:
+        res = strong_extension_search(k, l, unit_map)
+        if res.verdict != "extends":
+            continue
+        g = res.witness
+        closure = _OrbitClosure(k, l, unit_map)
+        closure.level((u, unit_map[u]) for u in k.units)
+        for a in range(k.n):
+            closure.level((k.mul[a][b], l.mul[g[a]][g[b]]) for b in range(k.n))
+            closed = closure.holds_closure_of(k, l, g)
+            assert closed == _closed_by_sets(closure, k, l, g), (k.name, l.name, a)
+            answers.add(closed)
+    assert answers == {False, True}
+
+
+def test_levels_mark_whole_orbits_and_undo_restores_them():
+    k, l, unit_map = _c5_search()
+    g = strong_extension_search(k, l, unit_map).witness
+    closure = _OrbitClosure(k, l, unit_map)
+    assert len(closure.kact[1]) == len(k.units) == 5
+    assert closure.level((u, unit_map[u]) for u in k.units)
+    states = []
+    for a in range(2, 40):
+        states.append((bytes(closure.seen), list(closure.pairs), list(closure.gens)))
+        assert closure.level((k.mul[a][b], l.mul[g[a]][g[b]]) for b in range(k.n))
+        w = closure.width
+        orbits = {
+            s2 * w + t2
+            for s, t in closure.pairs
+            for s2, t2 in zip(closure.kact[s], closure.lact[t])
+        }
+        assert orbits == {c for c, hit in enumerate(closure.seen) if hit}
+        assert 3 * len(closure.pairs) < len(orbits)
+    for state in reversed(states):
+        closure.undo()
+        assert (bytes(closure.seen), closure.pairs, closure.gens) == state
+
+
+def test_leaf_test_matches_sets_and_falls_back(monkeypatch):
+    k, l, unit_map = _c5_search()
+    res = strong_extension_search(k, l, unit_map)
+    g = res.witness
+    # only the base level: the closure misses most products of g
+    closure = _OrbitClosure(k, l, unit_map)
+    assert closure.level((u, unit_map[u]) for u in k.units)
+    assert not closure.holds_closure_of(k, l, g)
+    assert not _closed_by_sets(closure, k, l, g)
+    # a leaf whose closedness test fails goes through check_strong_morphism
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_strong_morphism(*args)
+
+    monkeypatch.setattr(_OrbitClosure, "holds_closure_of", lambda *args: False)
+    monkeypatch.setattr(functors, "check_strong_morphism", counted)
+    assert strong_extension_search(k, l, unit_map) == res
+    assert len(calls) == res.full_checks == 1

@@ -5,8 +5,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperalg import ddhyper, fuzzy, hyper, io, matroid, ordgrp
+from hyperalg import ddhyper, functors, fuzzy, hyper, io, matroid, ordgrp
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "hyperalg" / "fixtures"
 
@@ -66,6 +67,38 @@ def test_canonical_form_is_sorted_with_newline():
     assert json.loads(text) == d
     keys = list(json.loads(text))
     assert keys == sorted(keys)
+
+
+def _every_kind():
+    s0, d0 = ordgrp.singleton(0), ordgrp.down(0)
+    return {
+        "hyperring": hyper.builtin("kh-klein4"),
+        "partial hyperring": functors.unit_field_z(),
+        "fuzzyring": functors.F_obj(hyper.builtin("gf5")).fuzzy,
+        "gp": matroid.GPFunction(4, 2, (1, 1, 1, 2, 2, 1), hyper.signs()),
+        "zariski": ordgrp.generate_zariski(("p", "q"), [(s0, d0), (d0, s0)]),
+        "demifield": ddhyper.F1(hyper.signs()),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_every_kind()))
+def test_canonical_bytes_match_indented_json(kind):
+    d = io.structure_to_dict(_every_kind()[kind])
+    assert io.dumps_canonical(d) == json.dumps(d, sort_keys=True, indent=1) + "\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), _json_values, max_size=4))
+def test_canonical_bytes_match_indented_json_on_any_nesting(d):
+    assert io.dumps_canonical(d) == json.dumps(d, sort_keys=True, indent=1) + "\n"
 
 
 def test_schema_version_enforced(tmp_path):
