@@ -123,9 +123,23 @@ def _group(name: str):
     raise io.StructureError(f"unknown group {name!r} (klein4, c<k>)")
 
 
+def _fuzzy_rings_fail(named) -> bool:
+    """Print, as `check` does, the report of each (argument, structure) that
+    fails FR0-FR7, which the fuzzy morphism searches presume; any failed?"""
+    failed = False
+    for arg, k in named:
+        rep = fuzzy.check_fuzzy_axioms(k)
+        if not rep.passed:
+            _print_report(f"fuzzy ring axioms of {arg}", rep)
+            failed = True
+    return failed
+
+
 def cmd_morphisms(args) -> int:
     kind = "hyperring" if args.kind == "hyperring" else "fuzzyring"
     src, dst = _load(args.src, kind), _load(args.dst, kind)
+    if kind == "fuzzyring" and _fuzzy_rings_fail([(args.src, src), (args.dst, dst)]):
+        return EXIT_FAIL
     if args.kind == "hyperring":
         homs = hyper.enumerate_homs(src, dst, strict=args.strict)
         print(f"{len(homs)} homomorphisms")
@@ -171,6 +185,8 @@ def cmd_matroids(args) -> int:
 def cmd_iso(args) -> int:
     kind = "hyperring" if args.kind == "hyperring" else "fuzzyring"
     a, b = _load(args.a, kind), _load(args.b, kind)
+    if kind == "fuzzyring" and _fuzzy_rings_fail([(args.a, a), (args.b, b)]):
+        return EXIT_FAIL
     if args.kind == "hyperring":
         witness = hyper.iso_hyper(a, b)
     else:
@@ -281,10 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except io.StructureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:  # io.StructureError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -131,16 +131,6 @@ def iterated_hypersum(add: Sequence[Sequence[int]], elems: Sequence[int]) -> int
     return acc
 
 
-def hypersum_masks(add: Sequence[Sequence[int]], masks: Sequence[int]) -> int:
-    """Left fold of extend_hyperop over arbitrary masks."""
-    if not masks:
-        raise ValueError("hypersum_masks needs at least one mask")
-    acc = masks[0]
-    for m in masks[1:]:
-        acc = extend_hyperop(add, acc, m)
-    return acc
-
-
 def subset_order(n: int, include_empty: bool = False) -> list[int]:
     """Canonical ordering of the subset masks of an n-element carrier.
 

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import extend_hyperop, family_tables, hypersum_masks, mask_mul, mask_of
+from .core import extend_hyperop, family_tables, mask_mul, mask_of
 from .hyper import (
     AxiomReport,
     FiniteHyperring,
@@ -31,19 +31,26 @@ class SumClosure:
 
 
 def closure_S(f: FiniteHyperring) -> SumClosure:
-    witnesses: dict[int, tuple[int, ...]] = {1 << a: (a,) for a in range(f.n)}
-    frontier = list(witnesses)
-    while frontier:
-        x = frontier.pop()
-        for a in range(f.n):
-            y = extend_hyperop(f.add, x, 1 << a)
-            if y not in witnesses:
-                witnesses[y] = witnesses[x] + (a,)
-                frontier.append(y)
+    witnesses = _sum_closure(f.add)
     rest = sorted(m for m in witnesses if m not in (1, 2))
     family = (1, 2, *rest)
     index = {m: i for i, m in enumerate(family)}
     return SumClosure(family, index, witnesses)
+
+
+def _sum_closure(add) -> dict[int, tuple[int, ...]]:
+    """Every iterated hypersum of singletons under the mask table `add`, as
+    a mask, with the elements whose sum it is."""
+    witnesses: dict[int, tuple[int, ...]] = {1 << a: (a,) for a in range(len(add))}
+    frontier = list(witnesses)
+    while frontier:
+        x = frontier.pop()
+        for a in range(len(add)):
+            y = extend_hyperop(add, x, 1 << a)
+            if y not in witnesses:
+                witnesses[y] = witnesses[x] + (a,)
+                frontier.append(y)
+    return witnesses
 
 
 def check_mul_closure(f: FiniteHyperring) -> AxiomReport:
@@ -161,7 +168,7 @@ def check_addsame(p: PartialDemifield, max_len: int = 4) -> AxiomReport:
     mask_to_idx = {m: i for i, m in enumerate(p.family)}
     for length in range(1, max_len + 1):
         for tup in itertools.combinations_with_replacement(range(f.n), length):
-            hyper = hypersum_masks(f.add, [1 << a for a in tup])
+            hyper = f.hsum(tup)
             semi = emb[tup[0]]
             for a in tup[1:]:
                 semi = p.add[semi][emb[a]]

@@ -424,14 +424,15 @@ def weak_violation_by_enumeration(
 
 
 def enumerate_unit_homs(k: FiniteFuzzyRing, l: FiniteFuzzyRing) -> list[dict[int, int]]:
-    """All multiplicative maps K^x -> L^x sending 1 to 1 (brute force)."""
+    """All multiplicative maps K^x -> L^x sending 1 to 1 (brute force); on
+    a table where a product of units is not a unit, there are none."""
     ku = [u for u in k.units if u != 1]
     out = []
     for images in itertools.product(l.units, repeat=len(ku)):
         f = {1: 1}
         f.update(zip(ku, images))
         if all(
-            f[k.mul[a][b]] == l.mul[f[a]][f[b]]
+            f.get(k.mul[a][b]) == l.mul[f[a]][f[b]]
             for a, b in itertools.product(k.units, repeat=2)
         ):
             out.append(f)

@@ -136,13 +136,19 @@ def check_canonical_hypergroup(h: FiniteHyperring) -> AxiomReport:
     In partial mode empty hypersums are allowed but the identity and inverse
     axioms are still enforced.
     """
+    return _report(_hypergroup_violations(h.add, h.neg, h.partial))
+
+
+def _hypergroup_violations(add, neg, partial: bool) -> list[Violation]:
+    """The laws of check_canonical_hypergroup on the mask table `add`, with
+    -b read as neg[b]; witnesses are carrier indices."""
     v: list[Violation] = []
-    n, add = h.n, h.add
+    n = len(add)
     for a in range(n):
         for b in range(a, n):
             if add[a][b] != add[b][a]:
                 v.append(("commutativity", (a, b)))
-            if not h.partial and add[a][b] == 0:
+            if not partial and add[a][b] == 0:
                 v.append(("nonempty", (a, b)))
     for a in range(n):
         if add[a][0] != 1 << a:
@@ -158,13 +164,13 @@ def check_canonical_hypergroup(h: FiniteHyperring) -> AxiomReport:
             # with empty hypersums allowed, one side of an association can
             # vanish while the other does not; the law is read as equality
             # whenever both sides are defined
-            if h.partial and (left == 0 or right == 0):
+            if partial and (left == 0 or right == 0):
                 continue
             v.append(("associativity", (a, b, c)))
     for a, b, c in itertools.product(range(n), repeat=3):
-        if bool(add[b][c] & (1 << a)) != bool(add[a][h.neg[b]] & (1 << c)):
+        if bool(add[b][c] & (1 << a)) != bool(add[a][neg[b]] & (1 << c)):
             v.append(("reversibility", (a, b, c)))
-    return _report(v)
+    return v
 
 
 def _check_mul_monoid(h: FiniteHyperring, v: list[Violation]) -> None:
@@ -264,9 +270,6 @@ class FiniteRing:
     @cached_property
     def units_mask(self) -> int:
         return units_mask(self.mul)
-
-    def neg(self, a: int) -> int:
-        return next(x for x in range(self.n) if self.add[a][x] == 0)
 
 
 def ring_as_hyperring(ring: FiniteRing) -> FiniteHyperring:
@@ -484,14 +487,16 @@ def enumerate_homs(
     strict: bool = False,
     fixed: dict[int, int] | None = None,
 ) -> list[tuple[int, ...]]:
-    """All maps fixing 0 and 1 that pass check_hom, by depth-first search.
+    """All maps fixing 0 and 1 that pass check_hom, sorted, by depth-first
+    search.
 
     `fixed` pins additional images (used e.g. to search for homs restricting
-    to a given map on units).  Elements get images in the order 0, 1, the
-    other fixed elements, then the free ones ascending; each pair (a, b) is
-    checked as in check_hom at the first step where a, b, ab and every
-    element of a+b have images, and a failing pair prunes the subtree.
-    Results are re-verified by check_hom, sorted.
+    to a given map on units); pinning 0 or 1 elsewhere leaves no map.
+    Elements get images in the order 0, 1, the other fixed elements, then
+    the free ones ascending; each pair (a, b) is checked as in check_hom at
+    the first step where a, b, ab and every element of a+b have images, and
+    a failing pair prunes the subtree.  Every pair is checked on the way to
+    a complete map, so each one the search reaches passes check_hom.
     """
     if r.n > ENUM_CARRIER_CAP:
         raise CarrierTooLarge(f"carrier {r.n} over enumeration cap")
@@ -501,6 +506,8 @@ def enumerate_homs(
     free = [x for x in range(r.n) if x not in fixed]
     if s.n ** len(free) > 5_000_000:
         raise CarrierTooLarge("hom search space too large")
+    if fixed[0] != 0 or fixed[1] != 1:
+        return []
     order = [0, 1, *(x for x in fixed if x > 1), *free]
     step = {x: k for k, x in enumerate(order)}
     pairs: list[list[tuple]] = [[] for _ in order]
@@ -523,8 +530,7 @@ def enumerate_homs(
 
     def extend(k: int) -> None:
         if k == len(order):
-            if check_hom(f, r, s, strict=strict).passed:
-                out.append(tuple(f))
+            out.append(tuple(f))
             return
         x = order[k]
         for y in (fixed[x],) if x in fixed else range(s.n):

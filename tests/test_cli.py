@@ -250,6 +250,43 @@ def test_morphisms_fuzzy_strong_reports_undecided(monkeypatch, capsys):
     )
 
 
+def _fuzzy_runs(path):
+    """check, both fuzzy morphism kinds both ways and iso, against signfuzzy."""
+    runs = [["check", path], ["iso", path, "signfuzzy", "--kind", "fuzzy-weak"]]
+    for kind in ("fuzzy-weak", "fuzzy-strong"):
+        runs += [
+            ["morphisms", path, "signfuzzy", "--kind", kind],
+            ["morphisms", "signfuzzy", path, "--kind", kind],
+        ]
+    return runs
+
+
+def test_fuzzy_commands_take_one_entry_changes(signfuzzy_changes, tmp_path, capsys):
+    # before the searches checked FR0-FR7 on their inputs, 19 of these runs
+    # ended in a KeyError or a TypeError, which Python reports with exit 1
+    codes = []
+    for i, k in enumerate(signfuzzy_changes):
+        path = str(tmp_path / f"{i}.json")
+        io.save_structure(k, path)
+        codes += [main(argv) for argv in _fuzzy_runs(path)]
+    capsys.readouterr()
+    assert len(signfuzzy_changes) == 85
+    assert set(codes) <= {0, 1, 2}
+
+
+def test_fuzzy_morphisms_refuse_a_table_that_is_not_a_fuzzy_ring(
+    f_signs_mul_1_2_zero, tmp_path, capsys
+):
+    path = str(tmp_path / "k.json")
+    io.save_structure(f_signs_mul_1_2_zero, path)
+    for argv in _fuzzy_runs(path):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "FAIL\n  violated FR0-mul-commutative at (1, 2)\n" in out
+        if argv[0] != "check":
+            assert out.startswith(f"fuzzy ring axioms of {path}: FAIL\n")
+
+
 def test_matroids_with_oracle(capsys):
     assert main(["matroids", "--coeff", "krasner", "-n", "4", "-r", "2", "--oracle"]) == 0
     out = capsys.readouterr().out

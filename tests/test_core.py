@@ -8,7 +8,6 @@ from hyperalg.core import (
     bits,
     extend_hyperop,
     family_tables,
-    hypersum_masks,
     iterated_hypersum,
     mask_mul,
     mask_of,
@@ -53,11 +52,6 @@ def test_hypersum_permutation_invariant(elems):
     base = iterated_hypersum(s.add, elems)
     for p in itertools.permutations(elems):
         assert iterated_hypersum(s.add, list(p)) == base
-
-
-def test_hypersum_masks_matches_elementwise():
-    s = signs()
-    assert hypersum_masks(s.add, [2, 4, 4]) == iterated_hypersum(s.add, [1, 2, 2])
 
 
 def test_iterated_hypersum_empty_rejected():

@@ -23,7 +23,7 @@ from hyperalg.functors import (
     G_mor,
     G_obj,
     _OrbitClosure,
-    _unit_orbits,
+    _unit_action,
     check_roundtrips,
     check_roundtrips_fuzzy,
     is_field_like,
@@ -100,7 +100,7 @@ def test_F_size_guard_before_tables(monkeypatch):
     signal.alarm(10)
     try:
         with pytest.raises(CarrierTooLarge, match="8191 elements"):
-            F_obj(ha.field_hyperfield(13))
+            F_obj(ha.hyper.field_hyperfield(13))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -229,6 +229,20 @@ def test_extension_search_sign_collapse_extends():
 
 
 # --- extension search against two oracles ------------------------------------
+
+
+def _unit_orbits(k):
+    """The orbits {ux : u a unit} of the first unseen x, as the search built
+    them before its unit-action table; they miss x when 1x != x."""
+    seen = set()
+    orbits = []
+    for x in range(k.n):
+        if x in seen:
+            continue
+        orb = sorted({k.mul[u][x] for u in k.units})
+        seen.update(orb)
+        orbits.append(orb)
+    return orbits
 
 
 def _pairwise_search(k, l, unit_map, cfg=ExtensionSearchConfig()):
@@ -402,6 +416,26 @@ def test_extension_search_matches_brute_force(src):
             assert (res.verdict == "extends") == _some_strong_extension(k, l, unit_map)
 
 
+def test_extension_search_takes_one_entry_changes(signfuzzy_changes, f_signs_mul_1_2_zero):
+    # tables that are not fuzzy rings: orbits led by their first element
+    # cover x where 1x != x, and a unit product outside the units rejects
+    # the unit map, so no search raises a TypeError or a KeyError
+    verdicts = set()
+    for m in [*signfuzzy_changes, f_signs_mul_1_2_zero]:
+        pairs = [(m, o) for o in (sign_fuzzy(), krasner_fuzzy())]
+        for k, l in pairs + [(l, k) for k, l in pairs]:
+            for unit_map in enumerate_unit_homs(k, l):
+                if set(unit_map) != set(k.units):  # 1 is not a unit of k
+                    with pytest.raises(ValueError, match="exactly on the units"):
+                        strong_extension_search(k, l, unit_map)
+                    continue
+                res = strong_extension_search(k, l, unit_map)
+                verdicts.add(res.verdict)
+                if res.verdict == "extends":
+                    assert check_strong_morphism(k, l, res.witness).accepted
+    assert verdicts == {"extends", "refuted"}
+
+
 # --- the orbit closure against the plain one ------------------------------------
 
 
@@ -411,6 +445,10 @@ def _c5_search():
     src, dst = F_obj(khef(cyclic_group(5))), F_obj(builtin("kh-c5"))
     unit_map = {src.embed[u]: dst.embed[u] for u in src.base.units}
     return src.fuzzy, dst.fuzzy, unit_map
+
+
+def _closure(k, l, unit_map):
+    return _OrbitClosure(k, l, unit_map, *_unit_action(k, l, unit_map))
 
 
 def _pool_searches():
@@ -496,7 +534,7 @@ def test_broken_law_gives_trivial_group(law):
     small = [l for l in DECIDE_POOL.values() if l.n <= 7]
     for src, dst in [(m, l) for l in small] + [(l, m) for l in small]:
         for unit_map in enumerate_unit_homs(src, dst):
-            closure = _OrbitClosure(src, dst, unit_map)
+            closure = _closure(src, dst, unit_map)
             assert closure.kact == [(s,) for s in range(src.n)]
             new = strong_extension_search(src, dst, unit_map)
             old = _pairwise_search(src, dst, unit_map)
@@ -524,7 +562,7 @@ def test_leaf_test_matches_sets_on_partial_closures():
         if res.verdict != "extends":
             continue
         g = res.witness
-        closure = _OrbitClosure(k, l, unit_map)
+        closure = _closure(k, l, unit_map)
         closure.level((u, unit_map[u]) for u in k.units)
         for a in range(k.n):
             closure.level((k.mul[a][b], l.mul[g[a]][g[b]]) for b in range(k.n))
@@ -537,7 +575,7 @@ def test_leaf_test_matches_sets_on_partial_closures():
 def test_levels_mark_whole_orbits_and_undo_restores_them():
     k, l, unit_map = _c5_search()
     g = strong_extension_search(k, l, unit_map).witness
-    closure = _OrbitClosure(k, l, unit_map)
+    closure = _closure(k, l, unit_map)
     assert len(closure.kact[1]) == len(k.units) == 5
     assert closure.level((u, unit_map[u]) for u in k.units)
     states = []
@@ -562,7 +600,7 @@ def test_leaf_test_matches_sets_and_falls_back(monkeypatch):
     res = strong_extension_search(k, l, unit_map)
     g = res.witness
     # only the base level: the closure misses most products of g
-    closure = _OrbitClosure(k, l, unit_map)
+    closure = _closure(k, l, unit_map)
     assert closure.level((u, unit_map[u]) for u in k.units)
     assert not closure.holds_closure_of(k, l, g)
     assert not _closed_by_sets(closure, k, l, g)

@@ -273,7 +273,7 @@ def test_make_hyperring_rejects_missing_inverse():
 
 
 def test_partial_laws_read_where_defined():
-    uz = ha.unit_field_z()
+    uz = ha.functors.unit_field_z()
     assert uz.partial
     assert check_canonical_hypergroup(uz).passed
     assert check_hyperring(uz).passed
@@ -284,7 +284,7 @@ def test_partial_laws_read_where_defined():
 @functools.cache
 def _memo_ring(name):
     """One instance per name, so the fold memo stays warm across examples."""
-    return ha.unit_field_z() if name == "unitfield(Z)" else builtin(name)
+    return ha.functors.unit_field_z() if name == "unitfield(Z)" else builtin(name)
 
 
 MEMO_RINGS = [*sorted(BUILTIN_HYPERRINGS), "unitfield(Z)"]

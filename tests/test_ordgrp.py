@@ -209,6 +209,107 @@ def test_window_checks_match_oracle_mutated(seed, monkeypatch):
     _assert_matches_oracle(b)
 
 
+# the frozenset versions of the window hypergroup and closure checks, from
+# before they ran on H's mask table through the finite kernels
+
+
+def _set_add(x, y, b):
+    out = set()
+    for p, q in itertools.product(x, y):
+        out |= ordgrp.kgamma_embed(ordgrp.hgamma_add(p, q), b)
+    return frozenset(out)
+
+
+def _oracle_hypergroup(b):
+    v = []
+    elems = ordgrp.window_elements(b)
+    sing = {x: frozenset([x]) for x in elems}
+
+    def hsum(x, y):
+        return ordgrp.kgamma_embed(ordgrp.hgamma_add(x, y), b)
+
+    for x, y in itertools.product(elems, repeat=2):
+        if ordgrp.hgamma_add(x, y) != ordgrp.hgamma_add(y, x):
+            v.append(("commutativity", (x, y)))
+        if hsum(x, BOTTOM) != sing[x]:
+            v.append(("identity", (x,)))
+        # unique inverses: Bottom in x + y iff y = x
+        if (BOTTOM in hsum(x, y)) != (x == y):
+            v.append(("inverses", (x, y)))
+    for x, y, z in itertools.product(elems, repeat=3):
+        if _set_add(hsum(x, y), sing[z], b) != _set_add(sing[x], hsum(y, z), b):
+            v.append(("associativity", (x, y, z)))
+        # reversibility: x in y + z iff z in x + (-y), and -y = y
+        if (x in hsum(y, z)) != (z in hsum(y, x)):
+            v.append(("reversibility", (x, y, z)))
+    return v
+
+
+def _oracle_closure(b):
+    elems = ordgrp.window_elements(b)
+    representable = {ordgrp.kgamma_embed(a, b) for a in ordgrp.window_subsets(b)}
+    family = {frozenset([x]) for x in elems}
+    frontier = list(family)
+    while frontier:
+        s = frontier.pop()
+        for a in elems:
+            t = _set_add(s, frozenset([a]), b)
+            if t not in family:
+                family.add(t)
+                frontier.append(t)
+
+    def sort_key(f):
+        return sorted(-2 * b - 1 if e is None else e for e in f)
+
+    bad = sorted((s for s in family if s not in representable), key=sort_key)
+    return [("closure-shape", tuple(sort_key(s))) for s in bad]
+
+
+def _assert_hypergroup_matches_oracle(b):
+    """The same verdicts, and every kernel witness under a label the oracle
+    shares is one of its violations.  Reversibility reads x + (-y) as y + x
+    in the oracle and as x + y in the kernel, so it is compared only while
+    addition commutes.  The closure reports are equal."""
+    kernel, oracle = ordgrp.check_window_hypergroup(b), _oracle_hypergroup(b)
+    assert kernel.passed == (not oracle)
+    labels = {l for l, _ in oracle}
+    if "commutativity" in labels:
+        labels.discard("reversibility")
+    for label, witness in kernel.violations:
+        if label in labels:
+            assert (label, witness) in oracle
+    assert list(ordgrp.check_window_closure(b).violations) == _oracle_closure(b)
+
+
+@pytest.mark.parametrize("b", [-1, 0, 1, 2, 3, 4])
+def test_window_hypergroup_and_closure_match_oracles(b):
+    assert not _oracle_hypergroup(b) and not _oracle_closure(b)
+    _assert_hypergroup_matches_oracle(b)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_window_hypergroup_matches_oracle_mutated(seed, monkeypatch):
+    rng = random.Random(seed)
+    b = rng.choice((1, 2))
+    elems = ordgrp.window_elements(b)
+    x, y = rng.choice(elems), rng.choice(elems)
+    subs = ordgrp.window_subsets(b)
+    z = rng.choice([s for s in subs if s != ordgrp.hgamma_add(x, y)])
+    _mutate(monkeypatch, "hgamma_add", x, y, z, symmetric=rng.random() < 0.5)
+    _assert_hypergroup_matches_oracle(b)
+
+
+def test_window_hypergroup_failure_pinned(monkeypatch):
+    # 1 + 1 = {1} leaves 1 without an inverse: the finite kernel's label and
+    # witness (the element and its inverses), where the oracle reports
+    # ("inverses", (1, 1))
+    _mutate(monkeypatch, "hgamma_add", 1, 1, singleton(1), False)
+    rep = ordgrp.check_window_hypergroup(1)
+    assert rep.violations[0] == ("unique-inverse", (1, ()))
+    assert {l for l, _ in rep.violations} == {"unique-inverse", "reversibility"}
+    assert ("inverses", (1, 1)) in _oracle_hypergroup(1)
+
+
 def test_window_fr7_ignores_elements_outside_window(monkeypatch):
     # with {1}{1} = {1}, b = c = d = {1} gives b(c+d) = [_|_, 2] and
     # bc + bd = [_|_, 1]; their null sets differ only at {2}, outside [-1, 1]
